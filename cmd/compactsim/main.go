@@ -53,16 +53,16 @@
 // Distributed sweeps (internal/dist): -coordinate serves the grid's
 // cells as fenced leases to worker processes over localhost HTTP,
 // journaling every claim and commit in the -ledger directory so a
-// crashed coordinator resumes mid-grid; -worker turns this binary
-// into such a worker (cmd/sweepworker is the dedicated frontend).
+// crashed coordinator resumes mid-grid; cmd/sweepworker is the worker.
 // Leases carry monotonic fencing tokens: a worker that crashes or
 // hangs stops renewing, its cell is reassigned, and its late commit
-// is rejected. The merged CSV is byte-identical to a single-process
-// run (scripts/chaos_drill.sh proves it under SIGKILL):
+// is rejected. Once the grid settles the coordinator keeps answering
+// until every worker it has seen said goodbye, or one lease TTL
+// passes. The merged CSV is byte-identical to a single-process run
+// (scripts/chaos_drill.sh proves it under SIGKILL):
 //
 //	compactsim -adversary pf -sweep 8,16,32 -coordinate 127.0.0.1:7171 \
 //	    -ledger sweep.ledger -csv results.csv &
-//	compactsim -worker http://127.0.0.1:7171 &
 //	sweepworker -coordinator http://127.0.0.1:7171 &
 package main
 
@@ -127,33 +127,12 @@ func main() {
 		checkpoint   = flag.String("checkpoint", "", "durable sweep journal: completed cells survive a crash or signal and are not re-run on resume")
 		cellTimeout  = flag.Duration("cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none)")
 		retries      = flag.Int("retries", 0, "re-run a failed sweep cell this many times (with backoff) before declaring a hole")
-		serve        = flag.Bool("serve", false, "removed: the resident simulation service is the compactd binary")
 		coordinate   = flag.String("coordinate", "", "distribute the sweep: serve cell leases to workers on this HTTP address (e.g. 127.0.0.1:7171; needs -sweep)")
 		ledgerDir    = flag.String("ledger", "", "lease ledger directory for -coordinate: claims and commits are journaled there and a restarted coordinator resumes from it")
 		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "heartbeat timeout for -coordinate: a lease not renewed within it is reassigned to another worker")
 		maxFailures  = flag.Int("max-failures", 3, "poison-cell threshold for -coordinate: quarantine a cell after this many failed attempts across workers")
-		workerURL    = flag.String("worker", "", "run as a distributed-sweep worker against this coordinator URL (or - for NDJSON over stdin/stdout); sweep flags come from the coordinator")
-		workerID     = flag.String("worker-id", "", "worker name for -worker (default worker-<pid>)")
-		inject       = flag.String("inject", "", "with -worker: process fault to inject for chaos drills (kill-at-cell=N, kill-at-commit=N, hang-at-cell=N, dup-commit=N)")
 	)
 	flag.Parse()
-	if *workerURL != "" {
-		// Worker mode is a different program: leases in, results out,
-		// its own two-stage signal drain (first signal finishes the
-		// in-flight cell, second abandons it). Exit codes match ours.
-		os.Exit(dist.RunWorkerCLI(context.Background(), dist.CLIConfig{
-			URL: *workerURL, ID: *workerID, CellTimeout: *cellTimeout, Inject: *inject,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "compactsim: "+format+"\n", args...)
-			},
-		}))
-	}
-	if *serve {
-		// compactsim stays the one-shot CLI; the resident job API,
-		// streaming and multi-tenant service live in cmd/compactd.
-		fmt.Fprintln(os.Stderr, "compactsim: -serve moved to its own binary; run `compactd -addr :8080 -data <dir>` (see cmd/compactd)")
-		os.Exit(2)
-	}
 	oo := obsOpts{
 		traceOut: *traceOut, traceFormat: *traceFormat, seriesOut: *seriesOut,
 		heatmapOut: *heatmapOut, heatmapEvery: *heatmapEvery,
@@ -169,7 +148,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "compactsim:", msg)
 		os.Exit(2)
 	}
-	if msg := dd.validate(*sweepCs != "", *seeds, *checkpoint, *inject); msg != "" {
+	if msg := dd.validate(*sweepCs != "", *seeds, *checkpoint); msg != "" {
 		fmt.Fprintln(os.Stderr, "compactsim:", msg)
 		os.Exit(2)
 	}
@@ -362,10 +341,7 @@ type distOpts struct {
 }
 
 // validate rejects distributed flags that cannot work together.
-func (d distOpts) validate(sweeping bool, seeds int, checkpoint, inject string) string {
-	if inject != "" {
-		return "-inject plants worker faults; it needs -worker"
-	}
+func (d distOpts) validate(sweeping bool, seeds int, checkpoint string) string {
 	if d.coordinate == "" {
 		if d.ledger != "" {
 			return "-ledger journals a coordinator's leases; it needs -coordinate"
@@ -529,10 +505,10 @@ func parseCs(spec string) ([]int64, error) {
 }
 
 // runCoordinate runs the sweep as a distributed coordinator: the grid
-// is sharded into fenced leases served over HTTP, workers (sweepworker
-// or compactsim -worker) run the cells, and the merged results are
-// reported exactly as a local -sweep would report them — same summary,
-// same CSV bytes.
+// is sharded into fenced leases served over HTTP, sweepworker
+// processes run the cells, and the merged results are reported
+// exactly as a local -sweep would report them — same summary, same
+// CSV bytes.
 func runCoordinate(ctx context.Context, o sweepOpts) error {
 	cs, err := parseCs(o.sweepCs)
 	if err != nil {
@@ -587,6 +563,9 @@ func runCoordinate(ctx context.Context, o sweepOpts) error {
 	}
 	srv := dist.Serve(coord, l)
 	defer func() {
+		if coord.Done() {
+			coord.AwaitGoodbyes(ctx)
+		}
 		sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(sctx)

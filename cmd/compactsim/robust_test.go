@@ -136,20 +136,18 @@ func TestDistFlagValidation(t *testing.T) {
 		sweeping   bool
 		seeds      int
 		checkpoint string
-		inject     string
 		wantErr    bool
 	}{
-		{distOpts{}, false, 1, "", "", false},
-		{distOpts{coordinate: "127.0.0.1:0"}, true, 1, "", "", false},
-		{distOpts{coordinate: "127.0.0.1:0", ledger: "d"}, true, 1, "", "", false},
-		{distOpts{coordinate: "127.0.0.1:0"}, false, 1, "", "", true}, // needs -sweep
-		{distOpts{coordinate: "127.0.0.1:0"}, true, 2, "", "", true},  // -seeds would bypass it
-		{distOpts{coordinate: "127.0.0.1:0"}, true, 1, "j", "", true}, // -checkpoint conflicts
-		{distOpts{ledger: "d"}, true, 1, "", "", true},                // -ledger without -coordinate
-		{distOpts{}, false, 1, "", "kill-at-cell=1", true},            // -inject is worker-only
+		{distOpts{}, false, 1, "", false},
+		{distOpts{coordinate: "127.0.0.1:0"}, true, 1, "", false},
+		{distOpts{coordinate: "127.0.0.1:0", ledger: "d"}, true, 1, "", false},
+		{distOpts{coordinate: "127.0.0.1:0"}, false, 1, "", true}, // needs -sweep
+		{distOpts{coordinate: "127.0.0.1:0"}, true, 2, "", true},  // -seeds would bypass it
+		{distOpts{coordinate: "127.0.0.1:0"}, true, 1, "j", true}, // -checkpoint conflicts
+		{distOpts{ledger: "d"}, true, 1, "", true},                // -ledger without -coordinate
 	}
 	for i, c := range cases {
-		msg := c.dist.validate(c.sweeping, c.seeds, c.checkpoint, c.inject)
+		msg := c.dist.validate(c.sweeping, c.seeds, c.checkpoint)
 		if (msg != "") != c.wantErr {
 			t.Errorf("case %d: validate = %q, wantErr=%v", i, msg, c.wantErr)
 		}

@@ -1,4 +1,4 @@
-// Command sweepworker is a distributed-sweep worker: it pulls cell
+// Command sweepworker is the distributed-sweep worker: it pulls cell
 // leases from a compactsim coordinator, runs each cell through the
 // sweep machinery, and commits the results back under the lease's
 // fencing token.
@@ -20,11 +20,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"compaction/internal/dist"
+	"compaction/internal/faultinject"
 
 	_ "compaction/internal/mm/all"
 )
@@ -42,13 +46,69 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweepworker: "+format+"\n", args...)
 	}
 	if *quiet {
-		logf = nil
+		logf = func(string, ...any) {}
 	}
-	os.Exit(dist.RunWorkerCLI(context.Background(), dist.CLIConfig{
-		URL:         *coordinator,
+	if *coordinator == "" {
+		fmt.Fprintln(os.Stderr, "sweepworker: a coordinator address is required (-coordinator URL, or - for stdio)")
+		os.Exit(2)
+	}
+	if *id == "" {
+		*id = fmt.Sprintf("worker-%d", os.Getpid())
+	}
+	hooks, err := faultinject.ParseWorkerFault(*inject)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweepworker:", err)
+		os.Exit(2)
+	}
+	var conn dist.Conn = &dist.HTTPConn{Base: *coordinator}
+	if *coordinator == "-" {
+		conn = dist.NewLineConn(os.Stdin, os.Stdout)
+	}
+
+	// Two-stage drain: the first signal stops claiming (claimCtx), the
+	// second abandons the in-flight cell (runCtx).
+	runCtx, hardStop := context.WithCancel(context.Background())
+	defer hardStop()
+	claimCtx, drain := context.WithCancel(runCtx)
+	defer drain()
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
+	go func() {
+		select {
+		case <-sigc:
+			logf("worker %s: draining (finishing the in-flight cell; signal again to abandon it)", *id)
+			drain()
+		case <-runCtx.Done():
+			return
+		}
+		select {
+		case <-sigc:
+			logf("worker %s: hard stop", *id)
+			hardStop()
+		case <-runCtx.Done():
+		}
+	}()
+
+	w := dist.NewWorker(conn, dist.WorkerOptions{
 		ID:          *id,
 		CellTimeout: *cellTimeout,
-		Inject:      *inject,
-		Logf:        logf,
-	}))
+		Hooks: dist.Hooks{
+			AfterClaim:   hooks.AfterClaim,
+			BeforeCommit: hooks.BeforeCommit,
+			CommitCopies: hooks.CommitCopies,
+		},
+		Logf: logf,
+	})
+	err = w.Run(runCtx, claimCtx)
+	switch {
+	case err == nil:
+		return
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		fmt.Fprintln(os.Stderr, "sweepworker: interrupted:", err)
+		os.Exit(3)
+	default:
+		fmt.Fprintln(os.Stderr, "sweepworker:", err)
+		os.Exit(1)
+	}
 }

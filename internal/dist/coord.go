@@ -90,6 +90,7 @@ type Coordinator struct {
 
 	done   chan struct{} // closed when every cell settled
 	failed chan struct{} // closed when the coordinator is fenced
+	left   chan struct{} // signaled (non-blocking) on every goodbye
 }
 
 // NewCoordinator builds a coordinator over the tasks, bound to the
@@ -102,7 +103,6 @@ func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinato
 	o = o.withDefaults()
 	c := &Coordinator{
 		tasks:    tasks,
-		fps:      make([]string, len(tasks)),
 		o:        o,
 		state:    make([]cellState, len(tasks)),
 		lease:    make([]leaseInfo, len(tasks)),
@@ -114,42 +114,31 @@ func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinato
 		ledger:   ledger,
 		done:     make(chan struct{}),
 		failed:   make(chan struct{}),
+		left:     make(chan struct{}, 1),
 	}
+	keys := make([]resume.CellKey, len(tasks))
 	for i, t := range tasks {
-		c.fps[i] = resume.Fingerprint(resume.CellKey{
-			Index: i, Label: t.Label, Manager: t.Manager, Config: t.Config,
-		})
+		keys[i] = resume.CellKey{Index: i, Label: t.Label, Manager: t.Manager, Config: t.Config}
 	}
+	r, err := resume.Restore(ledger, keys, o.Params)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	c.fps, c.next = r.Fingerprints, r.MaxToken
 	c.o.Monitor.Begin(len(tasks))
-	if ledger != nil {
-		if err := ledger.Bind(resume.GridFingerprint(c.fps), len(tasks), o.Params); err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		st, err := ledger.Replay()
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		c.next = st.MaxToken
-		for cell, rec := range st.Commits {
-			if cell < 0 || cell >= len(tasks) || rec.Result == nil || rec.Fingerprint != c.fps[cell] {
-				continue
-			}
-			c.state[cell] = cellDone
-			c.results[cell] = *rec.Result
-			c.restored[cell] = true
-			c.settled++
-			c.o.Monitor.CellRestored()
-		}
-		for cell, reason := range st.Quarantined {
-			if cell < 0 || cell >= len(tasks) || c.state[cell] == cellDone {
-				continue
-			}
-			c.state[cell] = cellQuarantined
-			c.failN[cell] = o.MaxFailures
-			c.failMsg[cell] = reason
-			c.settled++
-			c.o.Monitor.CellDone(true)
-		}
+	for cell, res := range r.Results {
+		c.state[cell] = cellDone
+		c.results[cell] = res
+		c.restored[cell] = true
+		c.settled++
+		c.o.Monitor.CellRestored()
+	}
+	for cell, reason := range r.Quarantined {
+		c.state[cell] = cellQuarantined
+		c.failN[cell] = o.MaxFailures
+		c.failMsg[cell] = reason
+		c.settled++
+		c.o.Monitor.CellDone(true)
 	}
 	if c.settled == len(tasks) {
 		close(c.done)
@@ -355,6 +344,35 @@ func (c *Coordinator) Goodbye(worker string) {
 	defer c.mu.Unlock()
 	delete(c.workers, worker)
 	c.o.Monitor.WorkersAlive(len(c.workers))
+	select {
+	case c.left <- struct{}{}:
+	default:
+	}
+}
+
+// AwaitGoodbyes is the settled grid's last duty before its transport
+// shuts down: a worker in claim back-off has not yet heard Done, and
+// would find the coordinator gone. It returns once every worker the
+// coordinator has seen said goodbye, one lease TTL passed, or ctx is
+// done; claims meanwhile keep answering Done.
+func (c *Coordinator) AwaitGoodbyes(ctx context.Context) {
+	t := time.NewTimer(c.o.LeaseTTL)
+	defer t.Stop()
+	for {
+		c.mu.Lock()
+		n := len(c.workers)
+		c.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		select {
+		case <-c.left:
+		case <-t.C:
+			return
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // checkLeaseLocked verifies that (worker, cell, token) names the live

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -371,6 +372,63 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	for i, o := range coord.Outcomes() {
 		if o.Err != nil {
 			t.Errorf("cell %d: %v", i, o.Err)
+		}
+	}
+}
+
+// TestWorkersInBackoffSeeDone: the grid settles while both workers
+// sleep in claim back-off. A coordinator that lingers until their
+// goodbyes, then shuts its server down, lets both exit cleanly instead
+// of burning their error budget on refused connections.
+func TestWorkersInBackoffSeeDone(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(t.Context()), time.Minute)
+	defer cancel()
+	tasks := testTasks(t)[:1]
+	coord, err := NewCoordinator(tasks, nil, Options{LeaseTTL: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(coord, l)
+	// The test holds the only cell, so both workers find nothing to
+	// claim and back off.
+	g, st := coord.Claim("holder")
+	if st != ClaimGranted {
+		t.Fatalf("claim = %v, want granted", st)
+	}
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		w := NewWorker(&HTTPConn{Base: "http://" + l.Addr().String()}, WorkerOptions{
+			ID: fmt.Sprintf("w%d", i), BackoffBase: 100 * time.Millisecond, BackoffMax: 200 * time.Millisecond, MaxErrors: 3,
+		})
+		go func() { errs <- w.Run(ctx, ctx) }()
+	}
+	for {
+		coord.mu.Lock()
+		n := len(coord.workers)
+		coord.mu.Unlock()
+		if n == 3 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := coord.Commit("holder", g.Task.Cell, g.Token, res(0)); err != nil {
+		t.Fatal(err)
+	}
+	coord.Goodbye("holder")
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	coord.AwaitGoodbyes(ctx)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("worker: %v", err)
 		}
 	}
 }

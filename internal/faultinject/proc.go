@@ -91,9 +91,9 @@ func DuplicateCommit(n int64) func(cell int) int {
 }
 
 // TearFile truncates the file at path to keep bytes, simulating a
-// torn trailing record from a writer killed mid-append. Ledger replay
-// tests sweep keep across every byte offset of a valid log and require
-// each prefix to boot clean.
+// torn trailing record from a writer killed mid-append. Ledger tests
+// sweep keep across every byte offset of a valid log and require each
+// prefix to boot clean and take new records.
 func TearFile(path string, keep int64) error {
 	if err := os.Truncate(path, keep); err != nil {
 		return fmt.Errorf("faultinject: %w", err)
@@ -109,8 +109,8 @@ func TearFile(path string, keep int64) error {
 //	hang-at-cell=N      hold the lease of the Nth claimed cell forever
 //	dup-commit=N        deliver the Nth commit twice
 //
-// The sweepworker and compactsim -worker frontends expose this as
-// -inject for drills; an unknown spec is a usage error.
+// sweepworker exposes this as -inject for drills; an unknown spec is a
+// usage error.
 func ParseWorkerFault(spec string) (WorkerHooks, error) {
 	var h WorkerHooks
 	if spec == "" {

@@ -1,10 +1,9 @@
-// Lease ledger: the distributed extension of the checkpoint journal.
+// Lease ledger: the distributed use of the record log.
 //
-// Where the Journal rewrites one atomic snapshot per checkpoint (right
-// for a single process owning its file), the Ledger is an append-only
-// NDJSON log in a directory, designed for a coordinator that must
-// survive its own crash AND defend against a predecessor that does not
-// know it is dead. Two fencing mechanisms stack:
+// The Ledger is the same append-only record log the Journal is, kept
+// in a directory and fenced, for a coordinator that must survive its
+// own crash AND defend against a predecessor that does not know it is
+// dead. Two fencing mechanisms stack:
 //
 //   - Writer epochs fence whole processes. Opening a ledger acquires
 //     the next epoch by creating an epoch.<n> marker file with
@@ -17,24 +16,18 @@
 //     token and is rejected upstream (and audited as an op "fence"
 //     record when the coordinator chooses to log it).
 //
-// Appends are synced to disk record by record — a commit acknowledged
-// to a worker is durable — and replay tolerates a torn tail exactly
-// like the journal: every fully parseable prefix record is recovered,
-// the bytes after the first torn record are ignored. Because epochs
-// serialize writers, a torn record is always the last thing a dead
-// writer did; no valid record can follow it.
+// Appends, replay and torn-tail repair are the record log's: a commit
+// acknowledged to a worker is durable, and because epochs serialize
+// writers, a torn record is always the last thing a dead writer did.
 package resume
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"compaction/internal/sim"
 )
@@ -44,10 +37,11 @@ import (
 // owns the lease.
 var ErrFenced = errors.New("resume: fenced: a newer writer owns this ledger")
 
-// Op enumerates the lease-ledger record kinds.
+// Op enumerates the record kinds.
 type Op string
 
-// The lease lifecycle operations a ledger records.
+// The lease lifecycle operations a ledger records. A Journal records
+// only commits.
 const (
 	// OpClaim: a worker was granted a lease on a cell.
 	OpClaim Op = "claim"
@@ -69,7 +63,7 @@ const (
 	OpFence Op = "fence"
 )
 
-// LeaseRecord is one appended ledger line.
+// LeaseRecord is one appended log line.
 type LeaseRecord struct {
 	Op          Op          `json:"op"`
 	Cell        int         `json:"cell"`
@@ -93,21 +87,25 @@ func epochName(n uint64) string {
 	return fmt.Sprintf("%s%08d", epochPrefix, n)
 }
 
-// Ledger is an append-only, epoch-fenced lease log bound to one grid.
-// It is safe for concurrent use.
+// Ledger is the record log in a directory, plus the epoch fence. It is
+// safe for concurrent use.
 type Ledger struct {
-	mu    sync.Mutex
+	recordLog
 	dir   string
-	f     *os.File
 	epoch uint64
-	hdr   header
-	bound bool
 }
 
-// OpenLedger opens (creating if needed) the ledger directory and
-// acquires the next writer epoch. The returned ledger holds the epoch
-// until a later OpenLedger on the same directory supersedes it, at
-// which point every Append fails with ErrFenced.
+func (l *Ledger) records() *recordLog {
+	if l == nil {
+		return nil
+	}
+	return &l.recordLog
+}
+
+// OpenLedger opens (creating if needed) the ledger directory, acquires
+// the next writer epoch, and replays the log. The returned ledger
+// holds the epoch until a later OpenLedger on the same directory
+// supersedes it, at which point every Append fails with ErrFenced.
 func OpenLedger(dir string) (*Ledger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resume: %w", err)
@@ -141,13 +139,12 @@ func OpenLedger(dir string) (*Ledger, error) {
 		f.Close()
 		return nil, err
 	}
-	l := &Ledger{dir: dir, f: f, epoch: epoch}
-	if st, err := l.Replay(); err != nil {
+	l := &Ledger{dir: dir, epoch: epoch}
+	if err := l.load(f.Name()); err != nil {
 		f.Close()
 		return nil, err
-	} else if st.Bound {
-		l.hdr, l.bound = st.hdr, true
 	}
+	l.f, l.fence = f, l.checkFence
 	return l, nil
 }
 
@@ -177,30 +174,6 @@ func maxEpoch(dir string) (uint64, error) {
 // Epoch returns this writer's fencing epoch.
 func (l *Ledger) Epoch() uint64 { return l.epoch }
 
-// Dir returns the ledger directory.
-func (l *Ledger) Dir() string { return l.dir }
-
-// Bind ties the ledger to a grid, exactly like Journal.Bind: a fresh
-// ledger adopts the identity (writing the header record durably); a
-// replayed one must match or Bind returns ErrMismatch.
-func (l *Ledger) Bind(gridFP string, cells int, params string) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	want := header{Version: Version, Grid: gridFP, Cells: cells, Params: params}
-	if l.bound {
-		if l.hdr != want {
-			return fmt.Errorf("%w: ledger %s holds grid %s (%d cells, params %q), running grid %s (%d cells, params %q)",
-				ErrMismatch, l.dir, l.hdr.Grid, l.hdr.Cells, l.hdr.Params, gridFP, cells, params)
-		}
-		return nil
-	}
-	if err := l.appendLocked(want); err != nil {
-		return err
-	}
-	l.hdr, l.bound = want, true
-	return nil
-}
-
 // Append durably appends one lease record. It fails with ErrFenced
 // when a newer epoch has been acquired on the directory: the stale
 // writer learns it is dead the moment it tries to write, and the log
@@ -208,33 +181,17 @@ func (l *Ledger) Bind(gridFP string, cells int, params string) error {
 func (l *Ledger) Append(rec LeaseRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.bound {
-		return fmt.Errorf("resume: ledger Append before Bind")
-	}
 	return l.appendLocked(rec)
 }
 
-// appendLocked checks the fence, then writes and syncs one JSON line.
-func (l *Ledger) appendLocked(v any) error {
-	if l.f == nil {
-		return fmt.Errorf("resume: ledger is closed")
-	}
-	// Dense epoch numbering makes the fence check one stat: any
-	// successor must have created exactly epoch+1.
+// checkFence fails with ErrFenced once a successor epoch exists. Dense
+// epoch numbering makes it one stat: any successor must have created
+// exactly epoch+1.
+func (l *Ledger) checkFence() error {
 	if _, err := os.Stat(filepath.Join(l.dir, epochName(l.epoch+1))); err == nil {
 		return fmt.Errorf("%w (this writer holds epoch %d)", ErrFenced, l.epoch)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("resume: checking ledger fence: %w", err)
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if _, err := l.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("resume: %w", err)
 	}
 	return nil
 }
@@ -245,97 +202,14 @@ func (l *Ledger) appendLocked(v any) error {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.closed {
 		return nil
 	}
-	f := l.f
-	l.f = nil
-	if err := f.Close(); err != nil {
+	l.closed = true
+	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}
 	return nil
-}
-
-// LedgerState is the outcome of replaying a ledger directory: the grid
-// binding, the first commit per cell, quarantined cells, and the
-// high-water fencing token (so a resumed coordinator issues strictly
-// newer tokens than any lease ever granted).
-type LedgerState struct {
-	hdr   header
-	Bound bool
-	// Grid, Cells, Params echo the header when Bound.
-	Grid   string
-	Cells  int
-	Params string
-	// Commits maps cell index to its first committed record.
-	Commits map[int]LeaseRecord
-	// Quarantined maps cell index to the quarantine reason.
-	Quarantined map[int]string
-	// MaxToken is the highest token appearing in any record.
-	MaxToken uint64
-}
-
-// Replay reads the ledger back. Torn trailing bytes — the signature of
-// a writer killed mid-append — end the replay at the last fully
-// parseable record; everything before is recovered.
-func (l *Ledger) Replay() (*LedgerState, error) {
-	return replayLedger(filepath.Join(l.dir, ledgerFile))
-}
-
-// ReplayLedger reads the ledger log in dir without opening a writer
-// epoch — a read-only inspection of the lease history.
-func ReplayLedger(dir string) (*LedgerState, error) {
-	return replayLedger(filepath.Join(dir, ledgerFile))
-}
-
-func replayLedger(path string) (*LedgerState, error) {
-	st := &LedgerState{
-		Commits:     make(map[int]LeaseRecord),
-		Quarantined: make(map[int]string),
-	}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return st, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	if !sc.Scan() {
-		return st, nil
-	}
-	if err := json.Unmarshal(sc.Bytes(), &st.hdr); err != nil || st.hdr.Grid == "" {
-		// A torn or foreign first line: treat as an empty ledger rather
-		// than failing the boot — the caller's Bind decides whether the
-		// directory is reusable.
-		return &LedgerState{Commits: st.Commits, Quarantined: st.Quarantined}, nil
-	}
-	if st.hdr.Version != Version {
-		return nil, fmt.Errorf("resume: %s: ledger version %d, want %d", path, st.hdr.Version, Version)
-	}
-	st.Bound = true
-	st.Grid, st.Cells, st.Params = st.hdr.Grid, st.hdr.Cells, st.hdr.Params
-	for sc.Scan() {
-		var rec LeaseRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Op == "" {
-			// Torn tail: keep the recovered prefix, drop the rest.
-			break
-		}
-		if rec.Token > st.MaxToken {
-			st.MaxToken = rec.Token
-		}
-		switch rec.Op {
-		case OpCommit:
-			if _, ok := st.Commits[rec.Cell]; !ok {
-				st.Commits[rec.Cell] = rec
-			}
-		case OpQuarantine:
-			st.Quarantined[rec.Cell] = rec.Reason
-		}
-	}
-	return st, nil
 }
 
 // RemoveLedger deletes a completed ledger directory — the analog of

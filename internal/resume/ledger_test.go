@@ -1,6 +1,7 @@
 package resume
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -36,6 +37,20 @@ func boundLedger(t *testing.T, dir string) *Ledger {
 	return l
 }
 
+// replayDir replays the log in a ledger directory, independently of
+// any open Ledger's in-memory state.
+func replayDir(t *testing.T, dir string) *recordLog {
+	t.Helper()
+	var l recordLog
+	if err := l.load(filepath.Join(dir, ledgerFile)); err != nil {
+		t.Fatal(err)
+	}
+	if !l.bound {
+		t.Fatalf("%s: ledger not bound", dir)
+	}
+	return &l
+}
+
 func TestLedgerRoundtripAndReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := boundLedger(t, dir)
@@ -56,22 +71,20 @@ func TestLedgerRoundtripAndReplay(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReplayLedger(dir)
-	if err != nil {
-		t.Fatal(err)
+	rl := replayDir(t, dir)
+	if rl.hdr.Cells != 2 {
+		t.Fatalf("replay: cells=%d", rl.hdr.Cells)
 	}
-	if !st.Bound || st.Cells != 2 {
-		t.Fatalf("replay: bound=%v cells=%d", st.Bound, st.Cells)
-	}
-	rec, ok := st.Commits[0]
+	st := rl.st
+	rec, ok := st.commits[0]
 	if !ok || rec.Result == nil || rec.Result.HighWater != 0 || rec.Result.Rounds != 10 {
 		t.Fatalf("replay commit for cell 0: %+v", rec)
 	}
-	if reason := st.Quarantined[1]; reason != "boom" {
+	if reason := st.quarantined[1].Reason; reason != "boom" {
 		t.Fatalf("quarantine reason = %q, want boom", reason)
 	}
-	if st.MaxToken != 2 {
-		t.Fatalf("max token = %d, want 2", st.MaxToken)
+	if st.maxToken != 2 {
+		t.Fatalf("max token = %d, want 2", st.maxToken)
 	}
 }
 
@@ -89,15 +102,12 @@ func TestLedgerFirstCommitWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	st, err := ReplayLedger(dir)
-	if err != nil {
-		t.Fatal(err)
+	st := replayDir(t, dir).st
+	if st.commits[0].Result.HighWater != 111 {
+		t.Fatalf("replay kept the later commit: %+v", st.commits[0])
 	}
-	if st.Commits[0].Result.HighWater != 111 {
-		t.Fatalf("replay kept the later commit: %+v", st.Commits[0])
-	}
-	if st.MaxToken != 7 {
-		t.Fatalf("max token = %d, want 7", st.MaxToken)
+	if st.maxToken != 7 {
+		t.Fatalf("max token = %d, want 7", st.maxToken)
 	}
 }
 
@@ -134,12 +144,9 @@ func TestLedgerFencesStaleWriter(t *testing.T) {
 	if err := l2.Append(lease(OpCommit, 0, 2)); err != nil {
 		t.Fatalf("successor append: %v", err)
 	}
-	st, err := l2.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Commits) != 1 || st.Commits[0].Token != 2 {
-		t.Fatalf("replay after takeover: %+v", st.Commits)
+	st := replayDir(t, dir).st
+	if len(st.commits) != 1 || st.commits[0].Token != 2 {
+		t.Fatalf("replay after takeover: %+v", st.commits)
 	}
 }
 
@@ -185,8 +192,9 @@ func TestLedgerCloseIdempotent(t *testing.T) {
 
 // TestLedgerTornTailEveryOffset kills the writer at every possible
 // byte of the log (faultinject.TearFile simulates the torn trailing
-// record) and requires every prefix to boot clean: no error, and
-// exactly the commits whose full line survived.
+// record) and requires every prefix to boot clean and to take new
+// records: reopen, Bind, append a commit, close, and the replay holds
+// exactly the commits whose full line survived plus the new one.
 func TestLedgerTornTailEveryOffset(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := boundLedger(t, dir)
@@ -196,44 +204,22 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 		lease(OpClaim, 1, 2),
 		lease(OpCommit, 1, 2),
 	}
-	for _, rec := range records {
+	ops := make([]Op, len(records))
+	for i, rec := range records {
 		if err := l.Append(rec); err != nil {
 			t.Fatal(err)
 		}
+		ops[i] = rec.Op
 	}
 	l.Close()
 	whole, err := os.ReadFile(filepath.Join(dir, ledgerFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ReplayLedger(dir)
-	if err != nil {
-		t.Fatal(err)
+	if st := replayDir(t, dir).st; len(st.commits) != 2 {
+		t.Fatalf("full replay found %d commits, want 2", len(st.commits))
 	}
-	if len(full.Commits) != 2 {
-		t.Fatalf("full replay found %d commits, want 2", len(full.Commits))
-	}
-
-	// commitsBy counts the commits whose line content fits within the
-	// first keep bytes — the trailing newline itself may be torn off,
-	// since the scanner still yields (and replay still parses) a final
-	// unterminated line. Line 0 is the header.
-	commitsBy := func(keep int) int {
-		n, lineIdx := 0, 0
-		for i, b := range whole {
-			if b != '\n' {
-				continue
-			}
-			if keep < i {
-				break
-			}
-			if lineIdx >= 1 && records[lineIdx-1].Op == OpCommit {
-				n++
-			}
-			lineIdx++
-		}
-		return n
-	}
+	grid := GridFingerprint([]string{Fingerprint(key(0)), Fingerprint(key(1))})
 
 	for keep := 0; keep <= len(whole); keep++ {
 		torn := filepath.Join(t.TempDir(), fmt.Sprintf("torn-%d", keep))
@@ -247,20 +233,32 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 		if err := faultinject.TearFile(path, int64(keep)); err != nil {
 			t.Fatal(err)
 		}
-		st, err := ReplayLedger(torn)
-		if err != nil {
+		want := commitsWithin(whole, ops, keep)
+		var rl recordLog
+		if err := rl.load(path); err != nil {
 			t.Fatalf("keep=%d: replay failed: %v", keep, err)
 		}
-		if want := commitsBy(keep); len(st.Commits) != want {
-			t.Fatalf("keep=%d: %d commits recovered, want %d", keep, len(st.Commits), want)
+		if len(rl.st.commits) != want {
+			t.Fatalf("keep=%d: %d commits recovered, want %d", keep, len(rl.st.commits), want)
 		}
-		// A torn ledger must also reopen for writing: the successor
-		// coordinator appends after the recovered prefix.
+		// The successor coordinator binds and appends after the
+		// recovered prefix; its acknowledged commit must replay.
 		l2, err := OpenLedger(torn)
 		if err != nil {
 			t.Fatalf("keep=%d: reopen: %v", keep, err)
 		}
+		if err := l2.Bind(grid, 2, "adv=pf seed=1 rounds=10 ell=0"); err != nil {
+			t.Fatalf("keep=%d: bind: %v", keep, err)
+		}
+		if err := l2.Append(lease(OpCommit, 2, 9)); err != nil {
+			t.Fatalf("keep=%d: append: %v", keep, err)
+		}
 		l2.Close()
+		st := replayDir(t, torn).st
+		if _, ok := st.commits[2]; !ok || len(st.commits) != want+1 {
+			t.Fatalf("keep=%d: after append, replay holds %d commits (new one present: %v), want %d",
+				keep, len(st.commits), ok, want+1)
+		}
 	}
 }
 
@@ -287,19 +285,15 @@ func TestLedgerConcurrentAppend(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st, err := l.Replay()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.MaxToken != writers*each {
-		t.Fatalf("max token = %d, want %d", st.MaxToken, writers*each)
+	if st := replayDir(t, dir).st; st.maxToken != writers*each {
+		t.Fatalf("max token = %d, want %d", st.maxToken, writers*each)
 	}
 }
 
 // TestJournalSaveSyncsDirectory pins the crash-durability contract of
-// the checkpoint journal: after the atomic rename, the parent
-// directory entry itself is synced, so the new file name survives a
-// power cut. The seam also propagates failures.
+// journal creation: the Bind that creates the file also syncs the
+// parent directory, so the new file name survives a power cut. The
+// seam also propagates failures.
 func TestJournalSaveSyncsDirectory(t *testing.T) {
 	orig := fsyncDir
 	defer func() { fsyncDir = orig }()
@@ -318,27 +312,36 @@ func TestJournalSaveSyncsDirectory(t *testing.T) {
 	if err := j.Bind(grid, 1, "adv=pf"); err != nil {
 		t.Fatal(err)
 	}
-	synced = nil
+	if want := filepath.Dir(path); len(synced) != 1 || synced[0] != want {
+		t.Fatalf("creating the journal synced %v, want [%s]", synced, want)
+	}
+	// Appends to an existing file need no directory sync.
 	if _, err := j.Record(entry(0)); err != nil {
 		t.Fatal(err)
 	}
-	want := filepath.Dir(path)
-	found := false
-	for _, d := range synced {
-		if d == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Record did not sync the journal directory %s (synced: %v)", want, synced)
+	if len(synced) != 1 {
+		t.Fatalf("Record synced the directory again: %v", synced)
 	}
 
-	// An injected directory-sync failure must fail the save loudly —
-	// a checkpoint that may vanish on power loss is not a checkpoint.
+	// An injected directory-sync failure must fail the creation loudly
+	// — a journal that may vanish on power loss is not a journal.
 	fsyncDir = func(dir string) error {
 		return faultinject.ErrInjected
 	}
-	if _, err := j.Record(entry(0)); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("Record with failing dir sync: err=%v, want ErrInjected", err)
+	path2 := filepath.Join(t.TempDir(), "sweep.ckpt")
+	j2, err := Open(path2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Bind(grid, 1, "adv=pf"); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("Bind with failing dir sync: err=%v, want ErrInjected", err)
+	}
+	// A retried Bind rewrites the header rather than adding a second.
+	fsyncDir = orig
+	if err := j2.Bind(grid, 1, "adv=pf"); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path2); bytes.Count(b, []byte("\n")) != 1 {
+		t.Fatalf("journal after a retried Bind: %q", b)
 	}
 }

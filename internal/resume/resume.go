@@ -1,50 +1,42 @@
 // Package resume implements durable checkpoints for long-running
-// sweeps: a journal of completed cell outcomes, keyed by a
-// deterministic cell fingerprint, written atomically (temp file +
-// rename) so that a sweep killed at any instant — worker panic, OOM
-// kill, Ctrl-C — leaves either the previous consistent checkpoint or
-// the next one on disk, never a torn file.
+// sweeps. One append-only record log backs both of its surfaces: the
+// Journal a single-process sweep checkpoints completed cells into, and
+// the epoch-fenced Ledger a distributed coordinator records its lease
+// decisions in.
 //
-// The file format is NDJSON: a header line binding the journal to one
+// The log format is NDJSON: a header line binding the log to one
 // specific grid (its fingerprint, cell count, and an opaque caller
-// params string), followed by one line per completed cell. A journal
-// whose header does not match the grid being run is refused rather
-// than silently merged, so stale checkpoints cannot corrupt a new
-// experiment. A truncated or corrupt trailing line — the signature of
-// a crash during a non-atomic append by some future writer, or of a
-// half-copied file — is tolerated: every fully parseable prefix entry
-// is recovered.
+// params string), followed by one record per line. Every record is
+// written and synced on its own, so an acknowledged record survives a
+// crash. Replay stops at the first line that does not parse — the
+// torn tail of a writer killed mid-append — and keeps the prefix;
+// before its first append a writer truncates the file back to that
+// prefix, so no record is ever appended onto torn bytes. A log whose
+// header does not match the grid being run is refused rather than
+// silently merged, so stale checkpoints cannot corrupt a new
+// experiment.
 //
 // Resume contract: the fingerprint covers the cell's index, label,
 // manager and full model configuration. Program identity (adversary
 // kind, seed, rounds) is NOT part of sim.Config, so callers must fold
 // anything that changes the program's behavior into either the cell
-// label or the journal's params string; compactsim encodes
+// label or the log's params string; compactsim encodes
 // adversary/seed/rounds/ell in params for exactly this reason.
 package resume
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 
 	"compaction/internal/sim"
 )
 
-// Version is the journal format version; bumped on incompatible
-// schema changes so old files fail loudly instead of misparsing.
-const Version = 1
-
-// ErrMismatch reports a journal that belongs to a different grid (or
-// a different program parameterization) than the one being resumed.
-var ErrMismatch = errors.New("resume: journal does not match this grid")
+// ErrMismatch reports a log that belongs to a different grid (or a
+// different program parameterization) than the one being resumed.
+var ErrMismatch = errors.New("resume: log does not match this grid")
 
 // CellKey identifies one sweep cell for fingerprinting.
 type CellKey struct {
@@ -81,219 +73,131 @@ func GridFingerprint(cellFPs []string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// header is the first journal line.
-type header struct {
-	Version int    `json:"v"`
-	Grid    string `json:"grid"`
-	Cells   int    `json:"cells"`
-	Params  string `json:"params,omitempty"`
+// Log is a record log Restore can bind and read: a *Journal or a
+// *Ledger. A nil *Journal or *Ledger holds nothing.
+type Log interface {
+	records() *recordLog
+}
+
+// Restored is what a log holds for the grid Restore bound it to.
+type Restored struct {
+	// Fingerprints are the cell fingerprints, in grid order.
+	Fingerprints []string
+	// Results maps a cell to its first committed result.
+	Results map[int]sim.Result
+	// Quarantined maps an uncommitted cell to its quarantine reason.
+	Quarantined map[int]string
+	// MaxToken is the highest lease token in any record, so a resumed
+	// coordinator issues strictly newer tokens.
+	MaxToken uint64
+}
+
+// Restore fingerprints every cell of a grid, binds the log to the grid
+// (ErrMismatch when the log holds another one), and adopts what the
+// log holds for it. A record is adopted only when its fingerprint
+// matches its cell's.
+func Restore(l Log, keys []CellKey, params string) (*Restored, error) {
+	r := &Restored{
+		Fingerprints: make([]string, len(keys)),
+		Results:      make(map[int]sim.Result),
+		Quarantined:  make(map[int]string),
+	}
+	for i, k := range keys {
+		r.Fingerprints[i] = Fingerprint(k)
+	}
+	rl := l.records()
+	if rl == nil {
+		return r, nil
+	}
+	if err := rl.Bind(GridFingerprint(r.Fingerprints), len(keys), params); err != nil {
+		return nil, err
+	}
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	ours := func(rec LeaseRecord) bool {
+		return rec.Cell >= 0 && rec.Cell < len(keys) && rec.Fingerprint == r.Fingerprints[rec.Cell]
+	}
+	for cell, rec := range rl.st.commits {
+		if rec.Result != nil && ours(rec) {
+			r.Results[cell] = *rec.Result
+		}
+	}
+	for cell, rec := range rl.st.quarantined {
+		if _, done := r.Results[cell]; !done && ours(rec) {
+			r.Quarantined[cell] = rec.Reason
+		}
+	}
+	r.MaxToken = rl.st.maxToken
+	return r, nil
 }
 
 // Entry is one journaled cell outcome. Only successful outcomes are
 // journaled: failed cells are re-run on resume, so a transient fault
-// in the original run does not become a permanent hole.
+// in the original run does not become a permanent hole. Label and
+// Manager are covered by the fingerprint and are not stored.
 type Entry struct {
-	Fingerprint string     `json:"cell"`
-	Index       int        `json:"index"`
-	Label       string     `json:"label"`
-	Manager     string     `json:"manager"`
-	Result      sim.Result `json:"result"`
+	Fingerprint    string
+	Index          int
+	Label, Manager string
+	Result         sim.Result
 }
 
-// Journal is a durable set of completed cell outcomes bound to one
-// grid. It is safe for concurrent use by the sweep's worker pool.
+// Journal is the record log at one file path, without fencing: a
+// durable set of completed cell outcomes bound to one grid. It holds
+// no open file between calls, so it needs no Close. It is safe for
+// concurrent use by the sweep's worker pool.
 type Journal struct {
-	mu      sync.Mutex
-	path    string
-	hdr     header
-	bound   bool
-	entries map[string]Entry
+	recordLog
+}
+
+func (j *Journal) records() *recordLog {
+	if j == nil {
+		return nil
+	}
+	return &j.recordLog
 }
 
 // Open loads the journal at path, or prepares a fresh one when the
-// file does not exist. Corrupt trailing lines are dropped; a corrupt
-// or version-mismatched header fails the open (the file is not a
-// journal, and overwriting it silently would destroy whatever it is).
+// file does not exist or holds no complete line. A first line that is
+// not a current-version header fails the open: the file is not a
+// journal, and writing to it would destroy whatever it is.
 func Open(path string) (*Journal, error) {
-	j := &Journal{path: path, entries: make(map[string]Entry)}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return j, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	if !sc.Scan() {
-		// Empty file: treat as fresh (a crash before the first save).
-		return j, nil
-	}
-	if err := json.Unmarshal(sc.Bytes(), &j.hdr); err != nil || j.hdr.Grid == "" {
-		return nil, fmt.Errorf("resume: %s: unrecognized journal header", path)
-	}
-	if j.hdr.Version != Version {
-		return nil, fmt.Errorf("resume: %s: journal version %d, want %d", path, j.hdr.Version, Version)
-	}
-	j.bound = true
-	for sc.Scan() {
-		var e Entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Fingerprint == "" {
-			// Torn tail from a crash mid-write: keep the recovered
-			// prefix, drop the rest.
-			break
-		}
-		j.entries[e.Fingerprint] = e
+	j := &Journal{}
+	if err := j.load(path); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
 
-// Bind ties the journal to a grid. A fresh journal adopts the
-// identity; a loaded one must match it exactly or Bind returns
-// ErrMismatch and the journal stays unusable for recording.
-func (j *Journal) Bind(gridFP string, cells int, params string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	want := header{Version: Version, Grid: gridFP, Cells: cells, Params: params}
-	if !j.bound {
-		j.hdr = want
-		j.bound = true
-		return nil
-	}
-	if j.hdr != want {
-		return fmt.Errorf("%w: journal %s holds grid %s (%d cells, params %q), running grid %s (%d cells, params %q)",
-			ErrMismatch, j.path, j.hdr.Grid, j.hdr.Cells, j.hdr.Params, gridFP, cells, params)
-	}
-	return nil
-}
-
-// Lookup returns the journaled entry for a cell fingerprint.
-func (j *Journal) Lookup(fp string) (Entry, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e, ok := j.entries[fp]
-	return e, ok
-}
-
-// Len returns the number of journaled entries.
+// Len returns the number of distinct cells committed.
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.entries)
+	return len(j.st.commits)
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Record adds one completed cell and durably saves the journal. It
-// returns the number of entries now journaled.
+// Record durably appends one completed cell as a commit record. It
+// returns the number of distinct cells now committed.
 func (j *Journal) Record(e Entry) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.bound {
-		return 0, fmt.Errorf("resume: Record before Bind")
-	}
-	j.entries[e.Fingerprint] = e
-	return len(j.entries), j.saveLocked()
-}
-
-// Save durably writes the journal: the full state is serialized to a
-// temp file in the journal's directory, synced, and renamed over the
-// previous version, so readers and crashes only ever observe a
-// complete checkpoint.
-func (j *Journal) Save() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.bound {
-		return fmt.Errorf("resume: Save before Bind")
-	}
-	return j.saveLocked()
-}
-
-func (j *Journal) saveLocked() error {
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".tmp*")
+	err := j.appendLocked(LeaseRecord{Op: OpCommit, Cell: e.Index, Fingerprint: e.Fingerprint, Result: &e.Result})
 	if err != nil {
-		return fmt.Errorf("resume: %w", err)
+		return 0, err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(j.hdr); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resume: %w", err)
-	}
-	// Entries in grid order: byte-stable saves for identical states.
-	sorted := make([]Entry, 0, len(j.entries))
-	for _, e := range j.entries {
-		sorted = append(sorted, e)
-	}
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Index < sorted[b].Index })
-	for _, e := range sorted {
-		if err := enc.Encode(e); err != nil {
-			tmp.Close()
-			return fmt.Errorf("resume: %w", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	// The rename made the new checkpoint visible, but the directory
-	// entry itself lives in the directory's metadata: until the parent
-	// directory is synced, a crash can roll the rename back and a
-	// caller who saw Record return success would resume from the
-	// previous checkpoint — or from nothing, for the first save. Sync
-	// the directory so a committed checkpoint survives any crash after
-	// commit.
-	if err := fsyncDir(filepath.Dir(j.path)); err != nil {
-		return fmt.Errorf("resume: syncing journal directory: %w", err)
-	}
-	return nil
-}
-
-// SyncDir syncs a directory's entries to stable storage: the second
-// half of the temp-file + fsync + rename + fsync(dir) commit
-// discipline. Exported so every package that renames durable state
-// into place (internal/service's job store) closes the same window
-// this package closes for its journal.
-func SyncDir(dir string) error { return fsyncDir(dir) }
-
-// fsyncDir syncs a directory's entries to stable storage. It is a
-// package variable so the durability regression tests can observe the
-// calls and inject failures.
-var fsyncDir = func(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	return nil
+	return len(j.st.commits), nil
 }
 
 // Remove deletes the journal file, typically after the sweep it
-// guarded completed with no holes. A missing file is not an error.
+// guarded completed with no holes, and leaves the journal unbound. A
+// missing file is not an error.
 func (j *Journal) Remove() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := os.Remove(j.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("resume: %w", err)
 	}
+	j.hdr, j.bound, j.st = header{}, false, newState()
+	j.end, j.nl, j.dirty = 0, true, false
 	return nil
 }

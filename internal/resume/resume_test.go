@@ -1,10 +1,10 @@
 package resume
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"compaction/internal/sim"
@@ -67,33 +67,23 @@ func TestJournalRoundtrip(t *testing.T) {
 		t.Fatalf("record: n=%d err=%v", n, err)
 	}
 
-	// No temp residue next to the journal after atomic saves.
-	files, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		if strings.Contains(f.Name(), ".tmp") {
-			t.Errorf("temp file left behind: %s", f.Name())
-		}
-	}
-
 	j2, err := Open(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Bind(grid, 2, "adv=pf seed=1"); err != nil {
 		t.Fatal(err)
 	}
 	if j2.Len() != 2 {
 		t.Fatalf("reloaded %d entries, want 2", j2.Len())
 	}
-	e, ok := j2.Lookup(Fingerprint(key(1)))
+	r, err := Restore(j2, []CellKey{key(0), key(1)}, "adv=pf seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := r.Results[1]
 	if !ok {
 		t.Fatal("entry 1 missing after reload")
 	}
-	if e.Result.HighWater != 100 || e.Result.Rounds != 11 {
-		t.Fatalf("entry drifted through the journal: %+v", e.Result)
+	if res.HighWater != 100 || res.Rounds != 11 {
+		t.Fatalf("entry drifted through the journal: %+v", res)
 	}
 }
 
@@ -146,7 +136,11 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if j2.Len() != 1 {
 		t.Fatalf("recovered %d entries from torn journal, want 1", j2.Len())
 	}
-	if _, ok := j2.Lookup(Fingerprint(key(0))); !ok {
+	r, err := Restore(j2, []CellKey{key(0), key(1)}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Results[0]; !ok {
 		t.Fatal("intact prefix entry lost")
 	}
 }
@@ -203,7 +197,137 @@ func TestRecordBeforeBindFails(t *testing.T) {
 	if _, err := j.Record(entry(0)); err == nil {
 		t.Fatal("Record before Bind accepted")
 	}
-	if err := j.Save(); err == nil {
-		t.Fatal("Save before Bind accepted")
+}
+
+// commitsWithin counts the commit records whose line content fits in
+// the first keep bytes of a log: replay still parses a final line whose
+// newline was torn off. Line 0 is the header; ops[i] is line i+1's op.
+func commitsWithin(whole []byte, ops []Op, keep int) int {
+	n, line := 0, 0
+	for i, b := range whole {
+		if b != '\n' {
+			continue
+		}
+		if keep < i {
+			break
+		}
+		if line >= 1 && ops[line-1] == OpCommit {
+			n++
+		}
+		line++
+	}
+	return n
+}
+
+// TestJournalTornTailEveryOffset tears a journal at every byte and
+// requires each prefix to take a new record: Open, Bind, Record, then
+// a reopened journal holds the prefix's cells plus the new one. A
+// writer that appended onto the torn bytes would lose the new record
+// on the following replay.
+func TestJournalTornTailEveryOffset(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	j, _ := Open(path)
+	grid := GridFingerprint([]string{Fingerprint(key(0)), Fingerprint(key(1)), Fingerprint(key(2))})
+	if err := j.Bind(grid, 3, "adv=pf"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := j.Record(entry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for keep := 0; keep <= len(whole); keep++ {
+		torn := filepath.Join(t.TempDir(), "torn.ckpt")
+		if err := os.WriteFile(torn, whole[:keep], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(torn)
+		if err != nil {
+			t.Fatalf("keep=%d: open: %v", keep, err)
+		}
+		if err := j.Bind(grid, 3, "adv=pf"); err != nil {
+			t.Fatalf("keep=%d: bind: %v", keep, err)
+		}
+		if _, err := j.Record(entry(2)); err != nil {
+			t.Fatalf("keep=%d: record: %v", keep, err)
+		}
+		j2, err := Open(torn)
+		if err != nil {
+			t.Fatalf("keep=%d: reopen: %v", keep, err)
+		}
+		if want := commitsWithin(whole, []Op{OpCommit, OpCommit}, keep) + 1; j2.Len() != want {
+			t.Fatalf("keep=%d: %d cells after reopen, want %d", keep, j2.Len(), want)
+		}
+	}
+}
+
+// TestOneHeaderPolicy: a file with no complete line is a torn first
+// write and is reset; a first line that is not a current-version
+// header (a foreign file, a v1 snapshot journal) is refused by both
+// the journal and the ledger and never written; a mismatched Bind
+// leaves the file untouched.
+func TestOneHeaderPolicy(t *testing.T) {
+	dir := t.TempDir()
+	torn := filepath.Join(dir, "torn.ckpt")
+	if err := os.WriteFile(torn, []byte(`{"v":2,"grid":"ab`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(torn)
+	if err != nil {
+		t.Fatalf("torn first write refused: %v", err)
+	}
+	if err := j.Bind("abc", 1, ""); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(torn); string(b) != `{"v":2,"grid":"abc","cells":1}`+"\n" {
+		t.Fatalf("torn first write not reset: %q", b)
+	}
+
+	v1 := []byte(`{"v":1,"grid":"abc","cells":1}` + "\n" + `{"cell":"x","index":0}` + "\n")
+	for name, content := range map[string][]byte{"v1": v1, "foreign": []byte("not a log\n")} {
+		path := filepath.Join(dir, name+".ckpt")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); err == nil {
+			t.Errorf("%s journal accepted", name)
+		}
+		led := filepath.Join(dir, name+".ledger")
+		if err := os.MkdirAll(led, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(led, ledgerFile), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l, err := OpenLedger(led); err == nil {
+			l.Close()
+			t.Errorf("%s ledger accepted", name)
+		}
+		for _, p := range []string{path, filepath.Join(led, ledgerFile)} {
+			if b, _ := os.ReadFile(p); !bytes.Equal(b, content) {
+				t.Errorf("%s: refused file was written: %q", p, b)
+			}
+		}
+	}
+
+	// A mismatched Bind never repairs: the torn tail stays as it was.
+	path := filepath.Join(dir, "bound.ckpt")
+	content := []byte(`{"v":2,"grid":"abc","cells":1}` + "\n" + `{"op":"comm`)
+	if err := os.WriteFile(path, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Bind("other", 1, ""); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("mismatched bind: %v", err)
+	}
+	if b, _ := os.ReadFile(path); !bytes.Equal(b, content) {
+		t.Fatalf("mismatched bind touched the file: %q", b)
 	}
 }

@@ -30,9 +30,11 @@ import (
 //	                         cells serve the same bytes
 //	jobs/<id>/heatmap.json   the combined heatmap of a terminal job
 //
-// All JSON writes go through temp-file + fsync + rename, the same
-// atomicity discipline as the resume journal: a crash at any instant
-// leaves either the previous file or the next, never a torn one.
+// All JSON writes go through temp-file + fsync + rename + fsync(dir):
+// a crash at any instant leaves either the previous file or the next,
+// never a torn one. The journal is the exception: it is the resume
+// package's append-only log, whose torn tail is repaired on the next
+// append.
 
 // store persists jobs under a data directory. An empty dir means the
 // server is ephemeral: nothing is written and nothing resumes.
@@ -75,7 +77,7 @@ type jobRecord struct {
 
 // fsyncDir commits a directory's entries; a package variable so the
 // store tests can observe the calls and inject failures, same seam as
-// the resume journal's.
+// the resume log's.
 var fsyncDir = resume.SyncDir
 
 // writeFileAtomic writes data to path via temp + fsync + rename +

@@ -165,12 +165,12 @@ type Options struct {
 	// Seed drives the backoff jitter (and nothing else); sweeps with
 	// equal seeds back off identically. 0 is a valid seed.
 	Seed int64
-	// Journal, if non-nil, is the durable checkpoint: completed cells
-	// are recorded (atomic temp-file+rename per checkpoint) and a
-	// resumed sweep restores them without re-running. The journal must
-	// be freshly opened or belong to this exact grid; RunOpts refuses a
-	// mismatch. Failed cells are never journaled — they re-run on
-	// resume.
+	// Journal, if non-nil, is the durable checkpoint: each completed
+	// cell is appended as one synced record, and a resumed sweep
+	// restores the recorded cells without re-running them. The journal
+	// must be freshly opened or belong to this exact grid; RunOpts
+	// refuses a mismatch. Failed cells are never journaled — they
+	// re-run on resume.
 	Journal *resume.Journal
 	// Params is an opaque program-identity string bound into the
 	// journal header (e.g. "adv=pf seed=1 rounds=100"); resuming with
@@ -268,17 +268,18 @@ func RunOpts(ctx context.Context, cells []Cell, o Options) ([]Outcome, error) {
 	out := make([]Outcome, len(cells))
 	restored := make([]bool, len(cells))
 	if o.Journal != nil {
-		s.fps = make([]string, len(cells))
+		keys := make([]resume.CellKey, len(cells))
 		for i, c := range cells {
-			s.fps[i] = resume.Fingerprint(c.key(i))
+			keys[i] = c.key(i)
 		}
-		if err := o.Journal.Bind(resume.GridFingerprint(s.fps), len(cells), o.Params); err != nil {
+		r, err := resume.Restore(o.Journal, keys, o.Params)
+		if err != nil {
 			return out, err
 		}
-		s.journal = o.Journal
+		s.fps, s.journal = r.Fingerprints, o.Journal
 		for i := range cells {
-			if e, ok := o.Journal.Lookup(s.fps[i]); ok {
-				out[i] = Outcome{Cell: cells[i], Result: e.Result, Restored: true}
+			if res, ok := r.Results[i]; ok {
+				out[i] = Outcome{Cell: cells[i], Result: res, Restored: true}
 				restored[i] = true
 				s.notify(i, out[i])
 			}

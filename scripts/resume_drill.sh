@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Resume drill: run a paper-scale sweep, SIGTERM it mid-grid, resume
-# from the checkpoint, and verify the resumed CSV is byte-identical to
-# an uninterrupted run. CI runs this as the recovery acceptance test;
+# Resume drill: run a paper-scale sweep, SIGTERM it mid-grid, tear the
+# journal's last record, resume and SIGTERM again, resume to completion,
+# and verify the resumed CSV is byte-identical to an uninterrupted run. CI runs this as the recovery acceptance test;
 # run it locally after touching the sweep scheduler, the resume
 # journal, or compactsim's signal handling.
 #
@@ -19,45 +19,74 @@ go build -o "$BIN" ./cmd/compactsim
 # Ground truth: the uninterrupted run.
 "$BIN" "${SWEEP_FLAGS[@]}" -csv "$WORKDIR/clean.csv" >/dev/null
 
-# Interrupted run: SIGTERM once a couple of checkpoints are durable.
-# The sweep must exit with status 3 (interrupted), not 0 or 1.
-"$BIN" "${SWEEP_FLAGS[@]}" -checkpoint "$WORKDIR/sweep.ckpt" \
-    -csv "$WORKDIR/interrupted.csv" >/dev/null 2>"$WORKDIR/interrupted.err" &
-PID=$!
-for _ in $(seq 1 200); do
-    # Wait for the journal to hold at least one completed cell before
-    # pulling the plug, so the drill actually exercises restoration.
-    if [ -s "$WORKDIR/sweep.ckpt" ]; then
-        break
-    fi
-    if ! kill -0 "$PID" 2>/dev/null; then
-        echo "resume drill: FAIL — sweep finished before it could be interrupted; grow the grid" >&2
+# journal_lines counts complete journal lines: the header, then one
+# record per completed cell.
+journal_lines() {
+    if [ -f "$WORKDIR/sweep.ckpt" ]; then wc -l <"$WORKDIR/sweep.ckpt"; else echo 0; fi
+}
+
+# interrupt_once runs the checkpointed sweep, SIGTERMs it once the
+# journal holds at least $1 complete lines (the first run waits for
+# three records, so one survives the tear below and restores), and
+# requires exit status 3
+# (interrupted), not 0 or 1. The header alone makes the append-only
+# journal non-empty, so the wait counts lines, not bytes: pulling the
+# plug after a record is what exercises restoration.
+interrupt_once() {
+    local want=$1 name=$2
+    "$BIN" "${SWEEP_FLAGS[@]}" -checkpoint "$WORKDIR/sweep.ckpt" \
+        -csv "$WORKDIR/$name.csv" >/dev/null 2>"$WORKDIR/$name.err" &
+    local pid=$!
+    for _ in $(seq 1 400); do
+        if [ "$(journal_lines)" -ge "$want" ]; then
+            break
+        fi
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "resume drill: FAIL — $name sweep finished before it could be interrupted; grow the grid" >&2
+            exit 1
+        fi
+        sleep 0.05
+    done
+    kill -TERM "$pid" 2>/dev/null || true
+    set +e
+    wait "$pid"
+    local status=$?
+    set -e
+    if [ "$status" -ne 3 ]; then
+        echo "resume drill: FAIL — $name sweep exited $status, want 3" >&2
+        cat "$WORKDIR/$name.err" >&2
         exit 1
     fi
-    sleep 0.05
-done
-kill -TERM "$PID" 2>/dev/null || true
-set +e
-wait "$PID"
-STATUS=$?
-set -e
-if [ "$STATUS" -ne 3 ]; then
-    echo "resume drill: FAIL — interrupted sweep exited $STATUS, want 3" >&2
-    cat "$WORKDIR/interrupted.err" >&2
-    exit 1
-fi
-if [ ! -s "$WORKDIR/sweep.ckpt" ]; then
-    echo "resume drill: FAIL — no checkpoint journal survived the signal" >&2
-    exit 1
-fi
-echo "resume drill: interrupted with exit 3, journal $(wc -c <"$WORKDIR/sweep.ckpt") bytes"
+    if [ "$(journal_lines)" -lt 2 ]; then
+        echo "resume drill: FAIL — no checkpointed cell survived the signal" >&2
+        exit 1
+    fi
+    echo "resume drill: $name run exited 3 with $(journal_lines) journal lines"
+}
 
-# Resume: same flags, same checkpoint. Must complete, remove the
-# journal, and reproduce the uninterrupted CSV byte for byte.
+interrupt_once 4 interrupted
+
+# Tear the journal's last record, as a crash mid-append would, then
+# resume and interrupt once more: the resumed writer must repair the
+# torn tail before it appends, or the records it appends are lost.
+truncate -s -5 "$WORKDIR/sweep.ckpt"
+TORN=$(journal_lines)
+echo "resume drill: tore 5 bytes off the journal ($TORN complete lines left)"
+interrupt_once $((TORN + 1)) torn
+if ! grep -q resuming "$WORKDIR/torn.err"; then
+    echo "resume drill: FAIL — run after the tear did not restore from the journal" >&2
+    cat "$WORKDIR/torn.err" >&2
+    exit 1
+fi
+
+# Resume: same flags, same checkpoint. Must restore every record the
+# journal holds (those appended after the tear included), complete,
+# remove the journal, and reproduce the uninterrupted CSV byte for byte.
+RECORDS=$(($(journal_lines) - 1))
 "$BIN" "${SWEEP_FLAGS[@]}" -checkpoint "$WORKDIR/sweep.ckpt" \
     -csv "$WORKDIR/resumed.csv" >/dev/null 2>"$WORKDIR/resumed.err"
-if ! grep -q resuming "$WORKDIR/resumed.err"; then
-    echo "resume drill: FAIL — resumed run did not restore from the journal" >&2
+if ! grep -q "resuming $RECORDS/" "$WORKDIR/resumed.err"; then
+    echo "resume drill: FAIL — resumed run did not restore all $RECORDS journaled cells" >&2
     cat "$WORKDIR/resumed.err" >&2
     exit 1
 fi
