@@ -50,11 +50,14 @@ race:
 
 # The fault-tolerance suite under the race detector: every injected
 # fault class (panic, deadline, alloc failure, transient, sink write
-# error), checkpoint/resume determinism, cancellation, and the CLI's
-# flush-on-failure and exit-code contracts.
+# error), checkpoint/resume determinism, cancellation, settle wake-up
+# of idle workers, drain during claim back-off, re-leasing quarantined
+# cells on restart, and the CLI's flush-on-failure and exit-code
+# contracts.
 robustness:
 	$(GO) test -race ./internal/resume ./internal/faultinject ./internal/dist ./cmd/compactsim
-	$(GO) test -race -run 'Panic|Deadline|Retry|Retries|Cancel|Checkpoint|Journal|Degrad|Ticker|Backoff|Injected' ./internal/sweep
+	$(GO) test -race -run 'Panic|Deadline|Retry|Retries|Cancel|Checkpoint|Journal|Degrad|Ticker|Injected|Settle' ./internal/sweep
+	$(GO) test -race -run 'DrainDuringClaimBackoff|RestartReleasesQuarantinedCell' ./internal/dist
 
 # End-to-end recovery drill: sweep → SIGTERM → resume → byte-compare
 # against an uninterrupted run. Slower than the unit suite (it runs a

@@ -45,7 +45,7 @@
 // with the same flags resumes exactly where the last run stopped, and
 // the journal is removed once the grid completes), -cell-timeout (a
 // wall-clock deadline per cell) and -retries (re-run failed cells
-// with exponential backoff before declaring a hole):
+// before declaring a hole):
 //
 //	compactsim -adversary pf -sweep 8,16,32 -checkpoint sweep.ckpt \
 //	    -cell-timeout 5m -retries 2 -csv results.csv
@@ -126,7 +126,7 @@ func main() {
 		progress     = flag.Bool("progress", false, "print a progress ticker to stderr while the run executes")
 		checkpoint   = flag.String("checkpoint", "", "durable sweep journal: completed cells survive a crash or signal and are not re-run on resume")
 		cellTimeout  = flag.Duration("cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none)")
-		retries      = flag.Int("retries", 0, "re-run a failed sweep cell this many times (with backoff) before declaring a hole")
+		retries      = flag.Int("retries", 0, "re-run a failed sweep cell this many times before declaring a hole")
 		coordinate   = flag.String("coordinate", "", "distribute the sweep: serve cell leases to workers on this HTTP address (e.g. 127.0.0.1:7171; needs -sweep)")
 		ledgerDir    = flag.String("ledger", "", "lease ledger directory for -coordinate: claims and commits are journaled there and a restarted coordinator resumes from it")
 		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "heartbeat timeout for -coordinate: a lease not renewed within it is reassigned to another worker")
@@ -416,9 +416,9 @@ func runSweep(ctx context.Context, o sweepOpts) error {
 	opts := sweep.Options{
 		CellTimeout: o.ft.cellTimeout,
 		Retries:     o.ft.retries,
-		Seed:        o.seed,
 		Params:      journalParams(o),
 	}
+	var remove func() error
 	if o.ft.checkpoint != "" {
 		j, err := resume.Open(o.ft.checkpoint)
 		if err != nil {
@@ -429,17 +429,15 @@ func runSweep(ctx context.Context, o sweepOpts) error {
 				j.Len(), len(cells), o.ft.checkpoint)
 		}
 		opts.Journal = j
-	}
-	if o.obs.progress || o.obs.metricsAddr != "" {
-		reg := obs.NewRegistry()
-		opts.Monitor = sweep.NewMonitor(reg)
-		if o.obs.metricsAddr != "" {
-			addr, err := obs.Serve(o.obs.metricsAddr, "compactsim", reg)
-			if err != nil {
-				return err
+		remove = func() error {
+			if err := j.Remove(); err != nil {
+				return fmt.Errorf("-checkpoint: removing completed journal: %w", err)
 			}
-			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics\n", addr)
+			return nil
 		}
+	}
+	if opts.Monitor, err = newMonitor(o); err != nil {
+		return err
 	}
 	if o.obs.progress {
 		defer opts.Monitor.StartTicker(os.Stderr, time.Second)()
@@ -448,8 +446,36 @@ func runSweep(ctx context.Context, o sweepOpts) error {
 	if err != nil {
 		return err
 	}
+	return report(ctx, o, outs, opts.Monitor, "-checkpoint "+o.ft.checkpoint, nil, remove)
+}
+
+// newMonitor builds the sweep monitor -progress or -metrics-addr asks
+// for, serving its registry on -metrics-addr; nil when neither is set.
+func newMonitor(o sweepOpts) (*sweep.Monitor, error) {
+	if !o.obs.progress && o.obs.metricsAddr == "" {
+		return nil, nil
+	}
+	reg := obs.NewRegistry()
+	mon := sweep.NewMonitor(reg)
+	if o.obs.metricsAddr != "" {
+		addr, err := obs.Serve(o.obs.metricsAddr, "compactsim", reg)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics\n", addr)
+	}
+	return mon, nil
+}
+
+// report prints a finished grid — summary and CSV, the same for a local
+// and a distributed sweep — and classifies the run: interrupted (the
+// checkpoint log is kept; rerun names the flag to resume with), failed
+// with runErr, completed with explicit holes (the log is kept so a
+// rerun retries only those cells: holes are never restored), or
+// complete, when remove, if non-nil, deletes the log.
+func report(ctx context.Context, o sweepOpts, outs []sweep.Outcome, mon *sweep.Monitor, rerun string, runErr error, remove func() error) error {
 	if o.obs.progress {
-		fmt.Fprintln(os.Stderr, opts.Monitor.Snapshot().Line())
+		fmt.Fprintln(os.Stderr, mon.Snapshot().Line())
 	}
 	fmt.Printf("sweep: adversary=%s M=%s n=%s\n", o.adv, word.Format(o.m), word.Format(o.n))
 	fmt.Print(sweep.Summary(outs))
@@ -469,24 +495,27 @@ func runSweep(ctx context.Context, o sweepOpts) error {
 	}
 	holes := sweep.Holes(outs)
 	if ctx.Err() != nil {
-		if o.ft.checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "compactsim: interrupted with %d/%d cells done; rerun with -checkpoint %s to resume\n",
-				len(cells)-len(holes), len(cells), o.ft.checkpoint)
+		if remove != nil {
+			fmt.Fprintf(os.Stderr, "compactsim: interrupted with %d/%d cells done; rerun with %s to resume\n",
+				len(outs)-len(holes), len(outs), rerun)
 		}
-		return fmt.Errorf("sweep interrupted: %d of %d cells incomplete", len(holes), len(cells))
+		return fmt.Errorf("sweep interrupted: %d of %d cells incomplete", len(holes), len(outs))
+	}
+	if runErr != nil {
+		// Fenced by a successor coordinator, or durability degraded
+		// mid-run. Results (if any) were reported above; the error is
+		// still an error.
+		return runErr
 	}
 	if len(holes) > 0 {
 		// Graceful degradation: the grid completed with explicit holes
-		// (visible in the summary and the CSV error column). The journal
-		// is kept so a rerun retries only the failed cells.
+		// (visible in the summary and the CSV error column).
 		fmt.Fprintf(os.Stderr, "compactsim: %d of %d cells failed (explicit holes; see the error column)\n",
-			len(holes), len(cells))
+			len(holes), len(outs))
 		return nil
 	}
-	if opts.Journal != nil {
-		if err := opts.Journal.Remove(); err != nil {
-			return fmt.Errorf("-checkpoint: removing completed journal: %w", err)
-		}
+	if remove != nil {
+		return remove()
 	}
 	return nil
 }
@@ -528,24 +557,26 @@ func runCoordinate(ctx context.Context, o sweepOpts) error {
 		return err
 	}
 	var ledger *resume.Ledger
+	var remove func() error
 	if o.dist.ledger != "" {
 		ledger, err = resume.OpenLedger(o.dist.ledger)
 		if err != nil {
 			return fmt.Errorf("-ledger: %w", err)
 		}
 		defer ledger.Close()
-	}
-	var mon *sweep.Monitor
-	if o.obs.progress || o.obs.metricsAddr != "" {
-		reg := obs.NewRegistry()
-		mon = sweep.NewMonitor(reg)
-		if o.obs.metricsAddr != "" {
-			addr, err := obs.Serve(o.obs.metricsAddr, "compactsim", reg)
-			if err != nil {
-				return err
+		remove = func() error {
+			if err := ledger.Close(); err != nil {
+				return fmt.Errorf("-ledger: %w", err)
 			}
-			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics\n", addr)
+			if err := resume.RemoveLedger(o.dist.ledger); err != nil {
+				return fmt.Errorf("-ledger: removing completed ledger: %w", err)
+			}
+			return nil
 		}
+	}
+	mon, err := newMonitor(o)
+	if err != nil {
+		return err
 	}
 	coord, err := dist.NewCoordinator(tasks, ledger, dist.Options{
 		LeaseTTL: o.dist.leaseTTL, MaxFailures: o.dist.maxFailures,
@@ -575,59 +606,8 @@ func runCoordinate(ctx context.Context, o sweepOpts) error {
 	if o.obs.progress {
 		defer mon.StartTicker(os.Stderr, time.Second)()
 	}
-
 	waitErr := coord.Wait(ctx)
-	outs := coord.Outcomes()
-	if o.obs.progress {
-		fmt.Fprintln(os.Stderr, mon.Snapshot().Line())
-	}
-	fmt.Printf("sweep: adversary=%s M=%s n=%s\n", o.adv, word.Format(o.m), word.Format(o.n))
-	fmt.Print(sweep.Summary(outs))
-	if o.csvOut != "" {
-		f, err := os.Create(o.csvOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := sweep.WriteCSV(f, outs); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.csvOut)
-	}
-	holes := sweep.Holes(outs)
-	if ctx.Err() != nil {
-		if o.dist.ledger != "" {
-			fmt.Fprintf(os.Stderr, "compactsim: interrupted with %d/%d cells done; rerun with -ledger %s to resume\n",
-				len(tasks)-len(holes), len(tasks), o.dist.ledger)
-		}
-		return fmt.Errorf("sweep interrupted: %d of %d cells incomplete", len(holes), len(tasks))
-	}
-	if waitErr != nil {
-		// Fenced by a successor coordinator, or durability degraded
-		// mid-run. Results (if any) were reported above; the error is
-		// still an error.
-		return waitErr
-	}
-	if len(holes) > 0 {
-		// Quarantined poison cells: the grid completed with explicit
-		// typed holes and the ledger is kept so a rerun retries only
-		// those cells.
-		fmt.Fprintf(os.Stderr, "compactsim: %d of %d cells failed (explicit holes; see the error column)\n",
-			len(holes), len(tasks))
-		return nil
-	}
-	if o.dist.ledger != "" {
-		if err := ledger.Close(); err != nil {
-			return fmt.Errorf("-ledger: %w", err)
-		}
-		if err := resume.RemoveLedger(o.dist.ledger); err != nil {
-			return fmt.Errorf("-ledger: removing completed ledger: %w", err)
-		}
-	}
-	return nil
+	return report(ctx, o, coord.Outcomes(), mon, "-ledger "+o.dist.ledger, waitErr, remove)
 }
 
 // newProgram resolves -adversary through the shared program catalog,

@@ -1,14 +1,15 @@
-// Command sweepworker is the distributed-sweep worker: it pulls cell
-// leases from a compactsim coordinator, runs each cell through the
-// sweep machinery, and commits the results back under the lease's
-// fencing token.
+// Command sweepworker is the distributed-sweep worker: it runs the
+// sweep package's one worker loop against a compactsim coordinator —
+// pulls cell leases, runs each cell on one reused engine, and commits
+// the results back under the lease's fencing token.
 //
 //	compactsim -adversary pf -sweep 8,16,32 -coordinate 127.0.0.1:7171 ... &
 //	sweepworker -coordinator http://127.0.0.1:7171
 //	sweepworker -coordinator -          # NDJSON over stdin/stdout
 //
-// The first SIGTERM/SIGINT drains the worker: it finishes and commits
-// the in-flight cell, says goodbye, and exits 0. A second signal
+// The first SIGTERM/SIGINT drains the worker, at once even mid claim
+// back-off: it finishes and commits the in-flight cell, says goodbye,
+// and exits 0. A second signal
 // abandons the cell (its lease is released, so the cell is claimable
 // immediately) and exits 3. Exit codes match compactsim: 0 success,
 // 1 error, 2 usage, 3 interrupted.
@@ -93,12 +94,8 @@ func main() {
 	w := dist.NewWorker(conn, dist.WorkerOptions{
 		ID:          *id,
 		CellTimeout: *cellTimeout,
-		Hooks: dist.Hooks{
-			AfterClaim:   hooks.AfterClaim,
-			BeforeCommit: hooks.BeforeCommit,
-			CommitCopies: hooks.CommitCopies,
-		},
-		Logf: logf,
+		Hooks:       hooks,
+		Logf:        logf,
 	})
 	err = w.Run(runCtx, claimCtx)
 	switch {

@@ -2,340 +2,63 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"compaction/internal/resume"
-	"compaction/internal/sim"
 	"compaction/internal/sweep"
 )
 
-// cellState is a cell's position in the lease lifecycle.
-type cellState int
+// Options configures a Coordinator: the sweep coordinator's options.
+// NewCoordinator defaults LeaseTTL to 10s and MaxFailures to 3.
+type Options = sweep.CoordOptions
 
-const (
-	cellPending cellState = iota
-	cellLeased
-	cellDone
-	cellQuarantined
-)
+// Coordinator binds a sweep.Coordinator to catalog tasks and the wire:
+// Handle serves the lease protocol, each grant carrying its task, and
+// marks every requesting worker alive. It is safe for concurrent use
+// by any number of transport goroutines.
+type Coordinator struct {
+	*sweep.Coordinator
+	tasks []Task
+	ttl   time.Duration
+	mon   *sweep.Monitor
 
-// leaseInfo is the live lease on a cellLeased cell.
-type leaseInfo struct {
-	worker  string
-	token   uint64
-	expires time.Time
+	mu      sync.Mutex           //compactlint:lockrank 5
+	workers map[string]time.Time //compactlint:guardedby mu
+	left    chan struct{}        // signaled (non-blocking) on every goodbye
 }
 
-// Options configures a Coordinator. The zero value selects sane drill
-// defaults.
-type Options struct {
-	// LeaseTTL is the heartbeat timeout: a lease not renewed within it
-	// expires and its cell becomes claimable again. Default 10s.
-	LeaseTTL time.Duration
-	// MaxFailures is the poison-cell threshold: after this many failed
-	// attempts across workers the cell is quarantined into a typed
-	// hole instead of being leased forever. Default 3.
-	MaxFailures int
-	// Params is the program-identity string bound into the ledger
-	// header (GridSpec.Params for grids built from a spec).
-	Params string
-	// Monitor, if non-nil, observes progress: cells done/failed,
-	// restored from the ledger, workers alive, leases reassigned,
-	// commits fenced.
-	Monitor *sweep.Monitor
-	// Now is the clock seam; nil selects time.Now. Tests drive lease
-	// expiry through it deterministically.
-	Now func() time.Time
-}
-
-func (o Options) withDefaults() Options {
+// NewCoordinator builds a coordinator over the tasks, bound to the
+// ledger (nil disables durability — useful in-process). A non-empty
+// ledger must belong to this exact grid; its commits are adopted so a
+// restarted coordinator resumes where its predecessor stopped, and its
+// token high-water mark seeds the fencing counter so no new lease
+// reuses an old token. Quarantined cells are leased again.
+func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinator, error) {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
 	}
 	if o.MaxFailures <= 0 {
 		o.MaxFailures = 3
 	}
-	if o.Now == nil {
-		// Lease expiry is wall-clock by design: it measures real worker
-		// silence, never anything that reaches a result.
-		o.Now = time.Now //compactlint:allow determinism lease expiry measures wall-clock worker silence, not simulation state
-	}
-	return o
-}
-
-// Coordinator shards a grid's cells into fenced leases and merges the
-// committed results. It is safe for concurrent use by any number of
-// transport goroutines.
-type Coordinator struct {
-	tasks []Task
-	fps   []string
-	o     Options
-
-	mu       sync.Mutex           //compactlint:lockrank 10
-	state    []cellState          //compactlint:guardedby mu
-	lease    []leaseInfo          //compactlint:guardedby mu
-	results  []sim.Result         //compactlint:guardedby mu
-	failN    []int                //compactlint:guardedby mu
-	failMsg  []string             //compactlint:guardedby mu
-	restored []bool               //compactlint:guardedby mu
-	next     uint64               //compactlint:guardedby mu — last issued fencing token
-	settled  int                  //compactlint:guardedby mu — cells done or quarantined
-	workers  map[string]time.Time //compactlint:guardedby mu
-	ledger   *resume.Ledger       //compactlint:guardedby mu
-	infraErr error                //compactlint:guardedby mu — first non-fencing ledger failure (degraded mode)
-	fenced   bool                 //compactlint:guardedby mu — a newer coordinator epoch owns the ledger
-
-	done   chan struct{} // closed when every cell settled
-	failed chan struct{} // closed when the coordinator is fenced
-	left   chan struct{} // signaled (non-blocking) on every goodbye
-}
-
-// NewCoordinator builds a coordinator over the tasks, bound to the
-// ledger (nil disables durability — useful in-process). A non-empty
-// ledger must belong to this exact grid; its commits and quarantines
-// are adopted so a restarted coordinator resumes where its
-// predecessor stopped, and its token high-water mark seeds the
-// fencing counter so no new lease reuses an old token.
-func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinator, error) {
-	o = o.withDefaults()
-	c := &Coordinator{
-		tasks:    tasks,
-		o:        o,
-		state:    make([]cellState, len(tasks)),
-		lease:    make([]leaseInfo, len(tasks)),
-		results:  make([]sim.Result, len(tasks)),
-		failN:    make([]int, len(tasks)),
-		failMsg:  make([]string, len(tasks)),
-		restored: make([]bool, len(tasks)),
-		workers:  make(map[string]time.Time),
-		ledger:   ledger,
-		done:     make(chan struct{}),
-		failed:   make(chan struct{}),
-		left:     make(chan struct{}, 1),
-	}
-	keys := make([]resume.CellKey, len(tasks))
+	cells := make([]sweep.Cell, len(tasks))
 	for i, t := range tasks {
-		keys[i] = resume.CellKey{Index: i, Label: t.Label, Manager: t.Manager, Config: t.Config}
+		cells[i] = sweep.Cell{Label: t.Label, Config: t.Config, Manager: t.Manager}
 	}
-	r, err := resume.Restore(ledger, keys, o.Params)
+	var log resume.Log
+	if ledger != nil {
+		log = ledger
+	}
+	sc, err := sweep.NewCoordinator(cells, log, o)
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	c.fps, c.next = r.Fingerprints, r.MaxToken
-	c.o.Monitor.Begin(len(tasks))
-	for cell, res := range r.Results {
-		c.state[cell] = cellDone
-		c.results[cell] = res
-		c.restored[cell] = true
-		c.settled++
-		c.o.Monitor.CellRestored()
-	}
-	for cell, reason := range r.Quarantined {
-		c.state[cell] = cellQuarantined
-		c.failN[cell] = o.MaxFailures
-		c.failMsg[cell] = reason
-		c.settled++
-		c.o.Monitor.CellDone(true)
-	}
-	if c.settled == len(tasks) {
-		close(c.done)
-	}
-	return c, nil
-}
-
-// Restored returns how many cells were adopted from the ledger.
-func (c *Coordinator) Restored() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, r := range c.restored {
-		if r {
-			n++
-		}
-	}
-	return n
-}
-
-// Grant is a successful claim: the task, its fencing token, and the
-// lease TTL the worker must renew within.
-type Grant struct {
-	Task  Task
-	Token uint64
-	TTL   time.Duration
-}
-
-// ClaimState classifies a claim attempt.
-type ClaimState int
-
-const (
-	// ClaimGranted: the grant carries a leased task.
-	ClaimGranted ClaimState = iota
-	// ClaimEmpty: nothing claimable right now (every unsettled cell is
-	// leased); poll again after a backoff.
-	ClaimEmpty
-	// ClaimDone: every cell is settled; the worker should drain.
-	ClaimDone
-	// ClaimFailed: the coordinator cannot grant leases (it has been
-	// fenced by a successor); the worker should give up on it.
-	ClaimFailed
-)
-
-// Claim leases the lowest-index claimable cell to the worker. Expired
-// leases are reclaimed first, so claims are also the engine that
-// detects dead and hung workers: as long as any worker polls, every
-// expired lease is reassigned.
-func (c *Coordinator) Claim(worker string) (Grant, ClaimState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.o.Now()
-	c.touchLocked(worker, now)
-	c.expireLocked(now)
-	if c.fenced {
-		return Grant{}, ClaimFailed
-	}
-	if c.settled == len(c.tasks) {
-		return Grant{}, ClaimDone
-	}
-	for i, st := range c.state {
-		if st != cellPending {
-			continue
-		}
-		c.next++
-		token := c.next
-		if err := c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpClaim, Cell: i, Fingerprint: c.fps[i],
-			Worker: worker, Token: token, Attempt: c.failN[i] + 1,
-		}); err != nil {
-			if c.fenced {
-				return Grant{}, ClaimFailed
-			}
-			// Degraded (ledger write failed, durability lost): keep
-			// granting; the error surfaces from Err after the run.
-		}
-		c.state[i] = cellLeased
-		c.lease[i] = leaseInfo{worker: worker, token: token, expires: now.Add(c.o.LeaseTTL)}
-		return Grant{Task: c.tasks[i], Token: token, TTL: c.o.LeaseTTL}, ClaimGranted
-	}
-	return Grant{}, ClaimEmpty
-}
-
-// Renew extends the worker's lease. ErrFenced means the lease is no
-// longer the worker's — it expired and was (or will be) reassigned —
-// and the worker must abandon the cell.
-func (c *Coordinator) Renew(worker string, cell int, token uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.o.Now()
-	c.touchLocked(worker, now)
-	c.expireLocked(now)
-	if err := c.checkLeaseLocked(worker, cell, token); err != nil {
-		return err
-	}
-	c.lease[cell].expires = now.Add(c.o.LeaseTTL)
-	// Renewals are frequent and carry no state the replay needs (a
-	// crashed coordinator re-expires from claim time at worst), so
-	// they are journaled only when cheap — currently never — to keep
-	// the ledger a record of decisions, not heartbeats.
-	return nil
-}
-
-// Commit settles a cell with its result. The first valid commit wins;
-// a late commit under a superseded token (zombie worker) and any
-// duplicate delivery are rejected with ErrFenced and counted in the
-// commits_fenced gauge.
-func (c *Coordinator) Commit(worker string, cell int, token uint64, res sim.Result) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.o.Now()
-	c.touchLocked(worker, now)
-	c.expireLocked(now)
-	if err := c.checkLeaseLocked(worker, cell, token); err != nil {
-		c.o.Monitor.CommitFenced()
-		// Audit the rejection; a failure to audit must not fail the
-		// rejection.
-		_ = c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpFence, Cell: cell, Fingerprint: c.fpAt(cell),
-			Worker: worker, Token: token, Reason: "stale or duplicate commit",
-		})
-		return err
-	}
-	if err := c.appendLocked(resume.LeaseRecord{
-		Op: resume.OpCommit, Cell: cell, Fingerprint: c.fps[cell],
-		Worker: worker, Token: token, Result: &res,
-	}); err != nil && c.fenced {
-		// A fenced coordinator must not settle cells: its successor
-		// owns the grid now.
-		return fmt.Errorf("dist: %w", resume.ErrFenced)
-	}
-	c.state[cell] = cellDone
-	c.results[cell] = res
-	c.settled++
-	c.o.Monitor.CellDone(false)
-	c.o.Monitor.Checkpointed()
-	if c.settled == len(c.tasks) {
-		close(c.done)
-	}
-	return nil
-}
-
-// Fail reports a failed attempt. The cell goes back to pending for
-// another worker — until MaxFailures attempts across workers have
-// failed, at which point it is quarantined as a poison cell.
-func (c *Coordinator) Fail(worker string, cell int, token uint64, reason string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.o.Now()
-	c.touchLocked(worker, now)
-	c.expireLocked(now)
-	if err := c.checkLeaseLocked(worker, cell, token); err != nil {
-		return err
-	}
-	c.failN[cell]++
-	c.failMsg[cell] = reason
-	_ = c.appendLocked(resume.LeaseRecord{
-		Op: resume.OpFail, Cell: cell, Fingerprint: c.fps[cell],
-		Worker: worker, Token: token, Attempt: c.failN[cell], Reason: reason,
-	})
-	if c.fenced {
-		return fmt.Errorf("dist: %w", resume.ErrFenced)
-	}
-	if c.failN[cell] >= c.o.MaxFailures {
-		c.state[cell] = cellQuarantined
-		c.settled++
-		_ = c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpQuarantine, Cell: cell, Fingerprint: c.fps[cell],
-			Worker: worker, Token: token, Attempt: c.failN[cell], Reason: reason,
-		})
-		c.o.Monitor.CellDone(true)
-		if c.settled == len(c.tasks) {
-			close(c.done)
-		}
-		return nil
-	}
-	c.state[cell] = cellPending
-	c.o.Monitor.Retried()
-	return nil
-}
-
-// Release gives a lease back unfinished — the graceful half of a
-// worker drain. The cell returns to pending with no failure charged.
-func (c *Coordinator) Release(worker string, cell int, token uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.o.Now()
-	c.touchLocked(worker, now)
-	if err := c.checkLeaseLocked(worker, cell, token); err != nil {
-		return err
-	}
-	_ = c.appendLocked(resume.LeaseRecord{
-		Op: resume.OpRelease, Cell: cell, Fingerprint: c.fps[cell],
-		Worker: worker, Token: token, Reason: "worker drain",
-	})
-	c.state[cell] = cellPending
-	return nil
+	return &Coordinator{
+		Coordinator: sc, tasks: tasks, ttl: o.LeaseTTL, mon: o.Monitor,
+		workers: make(map[string]time.Time),
+		left:    make(chan struct{}, 1),
+	}, nil
 }
 
 // Goodbye removes a draining worker from the alive set.
@@ -343,11 +66,30 @@ func (c *Coordinator) Goodbye(worker string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.workers, worker)
-	c.o.Monitor.WorkersAlive(len(c.workers))
+	c.mon.WorkersAlive(len(c.workers))
 	select {
 	case c.left <- struct{}{}:
 	default:
 	}
+}
+
+// touch marks the worker alive and prunes workers silent for 3×TTL
+// from the alive set.
+func (c *Coordinator) touch(worker string) {
+	if worker == "" {
+		return
+	}
+	now := c.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.workers[worker] = now
+	cutoff := now.Add(-3 * c.ttl)
+	for w, seen := range c.workers {
+		if seen.Before(cutoff) {
+			delete(c.workers, w)
+		}
+	}
+	c.mon.WorkersAlive(len(c.workers))
 }
 
 // AwaitGoodbyes is the settled grid's last duty before its transport
@@ -356,7 +98,7 @@ func (c *Coordinator) Goodbye(worker string) {
 // coordinator has seen said goodbye, one lease TTL passed, or ctx is
 // done; claims meanwhile keep answering Done.
 func (c *Coordinator) AwaitGoodbyes(ctx context.Context) {
-	t := time.NewTimer(c.o.LeaseTTL)
+	t := time.NewTimer(c.ttl)
 	defer t.Stop()
 	for {
 		c.mu.Lock()
@@ -373,159 +115,4 @@ func (c *Coordinator) AwaitGoodbyes(ctx context.Context) {
 			return
 		}
 	}
-}
-
-// checkLeaseLocked verifies that (worker, cell, token) names the live
-// lease. Every mismatch — settled cell, expired-and-reassigned lease,
-// wrong worker, superseded token — is a fencing rejection.
-//
-//compactlint:lockheld mu
-func (c *Coordinator) checkLeaseLocked(worker string, cell int, token uint64) error {
-	if cell < 0 || cell >= len(c.tasks) {
-		return fmt.Errorf("dist: cell %d out of range", cell)
-	}
-	if c.state[cell] != cellLeased || c.lease[cell].worker != worker || c.lease[cell].token != token {
-		return fmt.Errorf("dist: cell %d token %d from %q: %w", cell, token, worker, resume.ErrFenced)
-	}
-	return nil
-}
-
-// fpAt returns the cell fingerprint, tolerating out-of-range indices
-// from malformed requests.
-func (c *Coordinator) fpAt(cell int) string {
-	if cell < 0 || cell >= len(c.fps) {
-		return ""
-	}
-	return c.fps[cell]
-}
-
-// touchLocked marks the worker alive.
-//
-//compactlint:lockheld mu
-func (c *Coordinator) touchLocked(worker string, now time.Time) {
-	if worker == "" {
-		return
-	}
-	c.workers[worker] = now
-	c.o.Monitor.WorkersAlive(len(c.workers))
-}
-
-// expireLocked reclaims every expired lease (heartbeat timeout) and
-// prunes workers silent for 3×TTL from the alive gauge.
-//
-//compactlint:lockheld mu
-func (c *Coordinator) expireLocked(now time.Time) {
-	for i, st := range c.state {
-		if st != cellLeased || now.Before(c.lease[i].expires) {
-			continue
-		}
-		_ = c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpRelease, Cell: i, Fingerprint: c.fps[i],
-			Worker: c.lease[i].worker, Token: c.lease[i].token, Reason: "lease expired",
-		})
-		c.state[i] = cellPending
-		c.o.Monitor.LeaseReassigned()
-	}
-	cutoff := now.Add(-3 * c.o.LeaseTTL)
-	pruned := false
-	for w, seen := range c.workers {
-		if seen.Before(cutoff) {
-			delete(c.workers, w)
-			pruned = true
-		}
-	}
-	if pruned {
-		c.o.Monitor.WorkersAlive(len(c.workers))
-	}
-}
-
-// appendLocked writes one ledger record, degrading gracefully: a
-// fencing rejection marks the coordinator dead (a successor owns the
-// ledger), any other failure disables durability but lets the run
-// finish; both surface from Err.
-//
-//compactlint:lockheld mu
-func (c *Coordinator) appendLocked(rec resume.LeaseRecord) error {
-	if c.ledger == nil || (c.infraErr != nil && !c.fenced) {
-		return nil
-	}
-	err := c.ledger.Append(rec)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, resume.ErrFenced) {
-		if !c.fenced {
-			c.fenced = true
-			c.infraErr = fmt.Errorf("dist: coordinator superseded: %w", err)
-			close(c.failed)
-		}
-		return err
-	}
-	if c.infraErr == nil {
-		c.infraErr = fmt.Errorf("dist: ledger disabled: %w", err)
-	}
-	return err
-}
-
-// Err returns the first coordinator-infrastructure error: a fencing
-// takeover, or a ledger write failure that degraded durability.
-func (c *Coordinator) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.infraErr
-}
-
-// Done reports whether every cell is settled.
-func (c *Coordinator) Done() bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Wait blocks until every cell is settled, the coordinator is fenced
-// by a successor, or ctx is canceled. On normal completion it returns
-// Err (nil unless durability degraded mid-run).
-func (c *Coordinator) Wait(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		return fmt.Errorf("dist: %w", context.Cause(ctx))
-	case <-c.failed:
-		return c.Err()
-	case <-c.done:
-		return c.Err()
-	}
-}
-
-// Outcomes merges the grid in cell order: committed results,
-// quarantined cells as typed FailQuarantined holes, and — for a
-// stopped coordinator — unsettled cells as FailSkipped holes. With
-// every cell committed the slice is byte-for-byte what a
-// single-process sweep.RunOpts would have produced for WriteCSV.
-func (c *Coordinator) Outcomes() []sweep.Outcome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	outs := make([]sweep.Outcome, len(c.tasks))
-	for i, t := range c.tasks {
-		cell := sweep.Cell{Label: t.Label, Config: t.Config, Manager: t.Manager}
-		switch c.state[i] {
-		case cellDone:
-			outs[i] = sweep.Outcome{Cell: cell, Result: c.results[i], Restored: c.restored[i]}
-		case cellQuarantined:
-			outs[i] = sweep.Outcome{Cell: cell, Err: &sweep.CellError{
-				Label: t.Label, Manager: t.Manager, Index: i,
-				Attempts: c.failN[i], Kind: sweep.FailQuarantined,
-				Err: errors.New(c.failMsg[i]),
-			}}
-		default:
-			outs[i] = sweep.Outcome{Cell: cell, Err: &sweep.CellError{
-				Label: t.Label, Manager: t.Manager, Index: i,
-				Attempts: c.failN[i], Kind: sweep.FailSkipped,
-				Err: errors.New("coordinator stopped before the cell settled"),
-			}}
-		}
-	}
-	return outs
 }

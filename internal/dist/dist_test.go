@@ -64,11 +64,33 @@ func res(i int) sim.Result {
 	return sim.Result{Program: "random", Manager: "first-fit", Rounds: 60, HighWater: int64(100 * (i + 1))}
 }
 
+// claim claims a lease over the protocol, as a remote worker does: the
+// response carries the granted task and token.
+func claim(ctx context.Context, c *Coordinator, worker string) (Response, sweep.ClaimState) {
+	resp := c.Handle(ctx, Request{Op: "claim", Worker: worker})
+	switch {
+	case resp.Error != "":
+		return resp, sweep.ClaimFailed
+	case resp.Done:
+		return resp, sweep.ClaimDone
+	case resp.Task == nil:
+		return resp, sweep.ClaimEmpty
+	}
+	return resp, sweep.ClaimGranted
+}
+
+// fail reports a failed attempt over the protocol, as a remote worker
+// does.
+func fail(ctx context.Context, c *Coordinator, worker string, cell int, token uint64, reason string) error {
+	return wireErr(c.Handle(ctx, Request{Op: "fail", Worker: worker, Cell: cell, Token: token, Reason: reason}), nil)
+}
+
 // TestZombieCommitFenced is the core fencing guarantee: a worker that
 // goes silent past the lease TTL loses the cell to a successor under a
 // larger token, and its late commit — the zombie write — is rejected,
 // leaving the successor's result in place.
 func TestZombieCommitFenced(t *testing.T) {
+	ctx := t.Context()
 	clk := newClock()
 	mon := sweep.NewMonitor(obs.NewRegistry())
 	c, err := NewCoordinator(testTasks(t), nil, Options{
@@ -78,14 +100,14 @@ func TestZombieCommitFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gA, st := c.Claim("zombie")
-	if st != ClaimGranted {
+	gA, st := claim(ctx, c, "zombie")
+	if st != sweep.ClaimGranted {
 		t.Fatalf("claim A: %v", st)
 	}
 	// The zombie stops heartbeating; the lease expires.
 	clk.Advance(2 * time.Second)
-	gB, st := c.Claim("healthy")
-	if st != ClaimGranted {
+	gB, st := claim(ctx, c, "healthy")
+	if st != sweep.ClaimGranted {
 		t.Fatalf("claim B: %v", st)
 	}
 	if gB.Task.Cell != gA.Task.Cell {
@@ -98,23 +120,23 @@ func TestZombieCommitFenced(t *testing.T) {
 	// The zombie wakes up and delivers late: fenced.
 	zres := res(0)
 	zres.HighWater = 424242 // a wrong value that must NOT survive
-	if err := c.Commit("zombie", gA.Task.Cell, gA.Token, zres); !errors.Is(err, resume.ErrFenced) {
+	if err := c.Commit(ctx, "zombie", gA.Task.Cell, gA.Token, zres); !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("zombie commit: err=%v, want ErrFenced", err)
 	}
 	// So is its renewal and its failure report.
-	if err := c.Renew("zombie", gA.Task.Cell, gA.Token); !errors.Is(err, resume.ErrFenced) {
+	if err := c.Renew(ctx, "zombie", gA.Task.Cell, gA.Token); !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("zombie renew: err=%v, want ErrFenced", err)
 	}
-	if err := c.Fail("zombie", gA.Task.Cell, gA.Token, "late failure"); !errors.Is(err, resume.ErrFenced) {
+	if err := fail(ctx, c, "zombie", gA.Task.Cell, gA.Token, "late failure"); !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("zombie fail: err=%v, want ErrFenced", err)
 	}
 
 	// The healthy worker commits for real.
-	if err := c.Commit("healthy", gB.Task.Cell, gB.Token, res(0)); err != nil {
+	if err := c.Commit(ctx, "healthy", gB.Task.Cell, gB.Token, res(0)); err != nil {
 		t.Fatalf("healthy commit: %v", err)
 	}
 	// And a duplicate delivery of that same commit is fenced as well.
-	if err := c.Commit("healthy", gB.Task.Cell, gB.Token, res(0)); !errors.Is(err, resume.ErrFenced) {
+	if err := c.Commit(ctx, "healthy", gB.Task.Cell, gB.Token, res(0)); !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("duplicate commit: err=%v, want ErrFenced", err)
 	}
 
@@ -135,6 +157,7 @@ func TestZombieCommitFenced(t *testing.T) {
 // workers MaxFailures times becomes a typed poison-cell hole and is
 // never leased again; the rest of the grid still settles.
 func TestQuarantineAfterMaxFailures(t *testing.T) {
+	ctx := t.Context()
 	clk := newClock()
 	tasks := testTasks(t)
 	c, err := NewCoordinator(tasks, nil, Options{
@@ -143,36 +166,36 @@ func TestQuarantineAfterMaxFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, st := c.Claim("w1")
-	if st != ClaimGranted {
+	g, st := claim(ctx, c, "w1")
+	if st != sweep.ClaimGranted {
 		t.Fatal(st)
 	}
 	poison := g.Task.Cell
-	if err := c.Fail("w1", poison, g.Token, "boom 1"); err != nil {
+	if err := fail(ctx, c, "w1", poison, g.Token, "boom 1"); err != nil {
 		t.Fatal(err)
 	}
-	g2, st := c.Claim("w2")
-	if st != ClaimGranted || g2.Task.Cell != poison {
+	g2, st := claim(ctx, c, "w2")
+	if st != sweep.ClaimGranted || g2.Task.Cell != poison {
 		t.Fatalf("retry claim: state=%v cell=%d, want cell %d back", st, g2.Task.Cell, poison)
 	}
-	if err := c.Fail("w2", poison, g2.Token, "boom 2"); err != nil {
+	if err := fail(ctx, c, "w2", poison, g2.Token, "boom 2"); err != nil {
 		t.Fatal(err)
 	}
 	// Quarantined now: the next claim gets a different cell.
-	g3, st := c.Claim("w3")
-	if st != ClaimGranted || g3.Task.Cell == poison {
+	g3, st := claim(ctx, c, "w3")
+	if st != sweep.ClaimGranted || g3.Task.Cell == poison {
 		t.Fatalf("claim after quarantine: state=%v cell=%d", st, g3.Task.Cell)
 	}
 	// Settle the rest.
-	if err := c.Commit("w3", g3.Task.Cell, g3.Token, res(g3.Task.Cell)); err != nil {
+	if err := c.Commit(ctx, "w3", g3.Task.Cell, g3.Token, res(g3.Task.Cell)); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		g, st := c.Claim("w3")
-		if st != ClaimGranted {
+		g, st := claim(ctx, c, "w3")
+		if st != sweep.ClaimGranted {
 			break
 		}
-		if err := c.Commit("w3", g.Task.Cell, g.Token, res(g.Task.Cell)); err != nil {
+		if err := c.Commit(ctx, "w3", g.Task.Cell, g.Token, res(g.Task.Cell)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,10 +212,11 @@ func TestQuarantineAfterMaxFailures(t *testing.T) {
 }
 
 // TestCoordinatorResumesFromLedger: a coordinator crash loses nothing
-// — the successor replays commits and quarantines from the ledger,
+// — the successor replays commits from the ledger,
 // seeds its token counter above every issued token, and the
 // predecessor (who does not know it is dead) is fenced out.
 func TestCoordinatorResumesFromLedger(t *testing.T) {
+	ctx := t.Context()
 	dir := filepath.Join(t.TempDir(), "ledger")
 	tasks := testTasks(t)
 	clk := newClock()
@@ -205,15 +229,15 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, st := c1.Claim("w1")
-	if st != ClaimGranted {
+	g1, st := claim(ctx, c1, "w1")
+	if st != sweep.ClaimGranted {
 		t.Fatal(st)
 	}
-	if err := c1.Commit("w1", g1.Task.Cell, g1.Token, res(g1.Task.Cell)); err != nil {
+	if err := c1.Commit(ctx, "w1", g1.Task.Cell, g1.Token, res(g1.Task.Cell)); err != nil {
 		t.Fatal(err)
 	}
-	g2, st := c1.Claim("w1")
-	if st != ClaimGranted {
+	g2, st := claim(ctx, c1, "w1")
+	if st != sweep.ClaimGranted {
 		t.Fatal(st)
 	}
 	// c1 "crashes" here: g2's lease is in flight, never committed.
@@ -236,8 +260,8 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 	}
 
 	// The successor's tokens are strictly newer than anything c1 issued.
-	g3, st := c2.Claim("w2")
-	if st != ClaimGranted {
+	g3, st := claim(ctx, c2, "w2")
+	if st != sweep.ClaimGranted {
 		t.Fatal(st)
 	}
 	if g3.Token <= g2.Token {
@@ -246,10 +270,10 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 
 	// The predecessor still thinks it owns the grid; its next ledger
 	// write is fenced and it stops granting.
-	g4, st := c1.Claim("w1")
+	g4, st := claim(ctx, c1, "w1")
 	_ = g4
-	if st != ClaimFailed {
-		t.Fatalf("stale coordinator claim: state=%v, want ClaimFailed", st)
+	if st != sweep.ClaimFailed {
+		t.Fatalf("stale coordinator claim: state=%v, want sweep.ClaimFailed", st)
 	}
 	if err := c1.Err(); err == nil || !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("stale coordinator Err = %v, want ErrFenced", err)
@@ -285,7 +309,7 @@ func TestBindRefusesForeignLedger(t *testing.T) {
 func startPipeWorker(ctx context.Context, c *Coordinator, o WorkerOptions, errc chan<- error) {
 	cr, cw := io.Pipe()
 	sr, sw := io.Pipe()
-	go func() { _ = ServeLines(c, cr, sw) }()
+	go func() { _ = ServeLines(ctx, c, cr, sw) }()
 	w := NewWorker(NewLineConn(sr, cw), o)
 	go func() {
 		errc <- w.Run(ctx, ctx)
@@ -395,8 +419,8 @@ func TestWorkersInBackoffSeeDone(t *testing.T) {
 	srv := Serve(coord, l)
 	// The test holds the only cell, so both workers find nothing to
 	// claim and back off.
-	g, st := coord.Claim("holder")
-	if st != ClaimGranted {
+	g, st := claim(ctx, coord, "holder")
+	if st != sweep.ClaimGranted {
 		t.Fatalf("claim = %v, want granted", st)
 	}
 	errs := make(chan error, 2)
@@ -415,7 +439,7 @@ func TestWorkersInBackoffSeeDone(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := coord.Commit("holder", g.Task.Cell, g.Token, res(0)); err != nil {
+	if err := coord.Commit(ctx, "holder", g.Task.Cell, g.Token, res(0)); err != nil {
 		t.Fatal(err)
 	}
 	coord.Goodbye("holder")
@@ -459,26 +483,27 @@ func TestWorkerDrain(t *testing.T) {
 // TestHandleProtocolErrors pins the wire behavior for malformed and
 // fenced traffic.
 func TestHandleProtocolErrors(t *testing.T) {
+	ctx := t.Context()
 	coord, err := NewCoordinator(testTasks(t), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp := coord.Handle(Request{Op: "explode"}); resp.Error == "" {
+	if resp := coord.Handle(ctx, Request{Op: "explode"}); resp.Error == "" {
 		t.Error("unknown op accepted")
 	}
-	if resp := coord.Handle(Request{Op: "commit", Worker: "w", Cell: 0, Token: 1}); resp.Error == "" {
+	if resp := coord.Handle(ctx, Request{Op: "commit", Worker: "w", Cell: 0, Token: 1}); resp.Error == "" {
 		t.Error("commit without result accepted")
 	}
 	// A commit under a never-issued token is fenced, not an error.
-	if resp := coord.Handle(Request{Op: "commit", Worker: "w", Cell: 0, Token: 99, Result: &sim.Result{}}); !resp.Fenced {
+	if resp := coord.Handle(ctx, Request{Op: "commit", Worker: "w", Cell: 0, Token: 99, Result: &sim.Result{}}); !resp.Fenced {
 		t.Errorf("stale commit response: %+v", resp)
 	}
 	// Claim/goodbye round-trip.
-	resp := coord.Handle(Request{Op: "claim", Worker: "w"})
+	resp := coord.Handle(ctx, Request{Op: "claim", Worker: "w"})
 	if !resp.OK || resp.Task == nil || resp.TTLMillis <= 0 {
 		t.Fatalf("claim response: %+v", resp)
 	}
-	if resp := coord.Handle(Request{Op: "goodbye", Worker: "w"}); !resp.OK {
+	if resp := coord.Handle(ctx, Request{Op: "goodbye", Worker: "w"}); !resp.OK {
 		t.Errorf("goodbye response: %+v", resp)
 	}
 }
@@ -508,6 +533,104 @@ func TestExpandMatchesSweepGrid(t *testing.T) {
 		}
 		if rc.Label != cells[i].Label || rc.Manager != cells[i].Manager || rc.Config != cells[i].Config {
 			t.Errorf("reconstructed cell %d diverges: %+v", i, rc)
+		}
+	}
+}
+
+// TestDrainDuringClaimBackoff: a drain reaches a worker sleeping in
+// claim back-off at once. The worker polls a grid whose only cell is
+// leased to someone else, with a back-off far longer than the test's
+// patience; canceling claimCtx must still end Run cleanly.
+func TestDrainDuringClaimBackoff(t *testing.T) {
+	ctx := t.Context()
+	coord, err := NewCoordinator(testTasks(t)[:1], nil, Options{LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(coord))
+	defer srv.Close()
+	if _, st := claim(ctx, coord, "holder"); st != sweep.ClaimGranted {
+		t.Fatalf("claim = %v, want granted", st)
+	}
+	claimCtx, drain := context.WithCancel(ctx)
+	defer drain()
+	w := NewWorker(&HTTPConn{Base: srv.URL}, WorkerOptions{
+		ID: "sleeper", BackoffBase: time.Minute, BackoffMax: time.Minute,
+	})
+	errc := make(chan error, 1)
+	go func() { errc <- w.Run(ctx, claimCtx) }()
+	// Wait for the worker's first (empty) claim: it is now backing off.
+	for {
+		coord.mu.Lock()
+		_, polled := coord.workers["sleeper"]
+		coord.mu.Unlock()
+		if polled {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	drain()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("drained worker: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain ignored while the worker sleeps in claim back-off")
+	}
+}
+
+// TestRestartReleasesQuarantinedCell: holes are never restored. A
+// coordinator restarted over a ledger that holds a quarantine leases
+// that cell again, and the grid settles with no hole.
+func TestRestartReleasesQuarantinedCell(t *testing.T) {
+	ctx := t.Context()
+	dir := filepath.Join(t.TempDir(), "ledger")
+	tasks := testTasks(t)
+	o := Options{MaxFailures: 1, Params: testSpec().Params()}
+
+	led1, err := resume.OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := NewCoordinator(tasks, led1, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, st := claim(ctx, c1, "w1")
+	if st != sweep.ClaimGranted {
+		t.Fatal(st)
+	}
+	poison := g.Task.Cell
+	if err := fail(ctx, c1, "w1", poison, g.Token, "transient boom"); err != nil {
+		t.Fatal(err)
+	}
+	var ce *sweep.CellError
+	if !errors.As(c1.Outcomes()[poison].Err, &ce) || ce.Kind != sweep.FailQuarantined {
+		t.Fatalf("cell %d not quarantined: %+v", poison, c1.Outcomes()[poison])
+	}
+	led1.Close()
+
+	led2, err := resume.OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led2.Close()
+	c2, err := NewCoordinator(tasks, led2, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(c2))
+	defer srv.Close()
+	if err := NewWorker(&HTTPConn{Base: srv.URL}, WorkerOptions{ID: "w2"}).Run(ctx, ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !c2.Done() {
+		t.Fatal("grid not settled")
+	}
+	for i, out := range c2.Outcomes() {
+		if out.Err != nil {
+			t.Errorf("cell %d: %v", i, out.Err)
 		}
 	}
 }

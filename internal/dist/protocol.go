@@ -15,6 +15,7 @@ import (
 
 	"compaction/internal/resume"
 	"compaction/internal/sim"
+	"compaction/internal/sweep"
 )
 
 // Request is one worker→coordinator message. The same schema rides
@@ -53,30 +54,33 @@ type Response struct {
 
 // Handle dispatches one protocol request against the coordinator. It
 // is the single entry point both transports go through.
-func (c *Coordinator) Handle(req Request) Response {
+func (c *Coordinator) Handle(ctx context.Context, req Request) Response {
+	if req.Op != "goodbye" {
+		c.touch(req.Worker)
+	}
 	switch req.Op {
 	case "claim":
-		g, st := c.Claim(req.Worker)
-		switch st {
-		case ClaimGranted:
-			t := g.Task
-			return Response{OK: true, Task: &t, Token: g.Token, TTLMillis: g.TTL.Milliseconds()}
-		case ClaimEmpty:
-			return Response{OK: true}
-		case ClaimDone:
-			return Response{OK: true, Done: true}
-		default:
+		g, err := c.Claim(ctx, req.Worker)
+		switch {
+		case err != nil:
 			return Response{Error: "coordinator fenced by a successor"}
+		case g.State == sweep.ClaimGranted:
+			t := c.tasks[g.Cell]
+			return Response{OK: true, Task: &t, Token: g.Token, TTLMillis: g.TTL.Milliseconds()}
 		}
+		return Response{OK: true, Done: g.State == sweep.ClaimDone}
 	case "renew":
-		return respond(c.Renew(req.Worker, req.Cell, req.Token))
+		return respond(c.Renew(ctx, req.Worker, req.Cell, req.Token))
 	case "commit":
 		if req.Result == nil {
 			return Response{Error: "commit without a result"}
 		}
-		return respond(c.Commit(req.Worker, req.Cell, req.Token, *req.Result))
+		return respond(c.Commit(ctx, req.Worker, req.Cell, req.Token, *req.Result))
 	case "fail":
-		return respond(c.Fail(req.Worker, req.Cell, req.Token, req.Reason))
+		// A remote failure is known only by its reason: after
+		// MaxFailures of them the cell is a FailQuarantined hole.
+		return respond(c.Fail(ctx, req.Worker, req.Cell, req.Token,
+			sweep.FailQuarantined, sweep.Outcome{Err: errors.New(req.Reason)}))
 	case "release":
 		return respond(c.Release(req.Worker, req.Cell, req.Token))
 	case "goodbye":
@@ -119,7 +123,7 @@ func Handler(c *Coordinator) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(c.Handle(req)); err != nil {
+		if err := json.NewEncoder(w).Encode(c.Handle(r.Context(), req)); err != nil {
 			// The client went away mid-response; its retry (or lease
 			// expiry) recovers.
 			return
@@ -184,7 +188,7 @@ func (h *HTTPConn) Call(ctx context.Context, req Request) (Response, error) {
 // per line on r, one Response per line on w — the transport for
 // workers wired up over stdin/stdout instead of a socket. It returns
 // when r is exhausted (the worker hung up) or w fails.
-func ServeLines(c *Coordinator, r io.Reader, w io.Writer) error {
+func ServeLines(ctx context.Context, c *Coordinator, r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	enc := json.NewEncoder(w)
@@ -194,7 +198,7 @@ func ServeLines(c *Coordinator, r io.Reader, w io.Writer) error {
 		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
 			resp = Response{Error: "bad request: " + err.Error()}
 		} else {
-			resp = c.Handle(req)
+			resp = c.Handle(ctx, req)
 		}
 		if err := enc.Encode(resp); err != nil {
 			return fmt.Errorf("dist: %w", err)

@@ -1,9 +1,8 @@
-// Package dist scales sweeps out across processes: a coordinator
-// shards a sweep grid into leases recorded in an epoch-fenced
-// resume.Ledger, and worker processes pull those leases over NDJSON
-// pipes or localhost HTTP, run the cells through the existing
-// sweep.RunOpts machinery, and commit results through the shared
-// ledger. The design is lease/fence all the way down:
+// Package dist scales sweeps out across processes. It holds what is
+// about processes and wires — Task and GridSpec, the lease protocol,
+// its HTTP and NDJSON transports — and binds internal/sweep's one
+// Coordinator and Worker loop to them. The scheduling itself is the
+// same one an in-process sweep runs:
 //
 //   - Every claim carries a monotonically increasing fencing token.
 //     A worker that dies, hangs, or partitions simply stops renewing;
@@ -19,9 +18,10 @@
 //   - Cells that fail on MaxFailures distinct attempts across workers
 //     are quarantined into typed sweep.CellError holes instead of
 //     poisoning the grid forever.
-//   - The ledger makes the coordinator itself restartable: claims,
-//     commits and quarantines are replayed on boot, and writer epochs
-//     fence a predecessor coordinator that does not know it is dead.
+//   - The ledger makes the coordinator itself restartable: commits are
+//     replayed on boot (quarantined cells run again), and writer
+//     epochs fence a predecessor coordinator that does not know it is
+//     dead.
 package dist
 
 import (

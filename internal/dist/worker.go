@@ -3,26 +3,15 @@ package dist
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
+	"compaction/internal/faultinject"
+	"compaction/internal/resume"
+	"compaction/internal/sim"
 	"compaction/internal/sweep"
 )
 
-// Hooks are the worker's fault-injection points, shaped to match
-// faultinject.WorkerHooks without importing it. All fields optional.
-type Hooks struct {
-	// AfterClaim runs once a lease is granted, before the cell runs.
-	AfterClaim func(cell int)
-	// BeforeCommit runs after the cell succeeded, before the commit is
-	// delivered.
-	BeforeCommit func(cell int)
-	// CommitCopies decides how many times the commit is delivered
-	// (nil or < 1 means once).
-	CommitCopies func(cell int) int
-}
-
-// WorkerOptions configures a worker loop.
+// WorkerOptions configures a remote worker.
 type WorkerOptions struct {
 	// ID names the worker in leases and the ledger. Required.
 	ID string
@@ -40,257 +29,111 @@ type WorkerOptions struct {
 	// coordinator is gone. Default 10.
 	MaxErrors int
 	// Hooks inject process-level faults for drills and tests.
-	Hooks Hooks
+	Hooks faultinject.WorkerHooks
 	// Logf, if non-nil, receives progress lines (claimed, committed,
 	// fenced, draining).
 	Logf func(format string, args ...any)
 }
 
-func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	if o.MaxErrors <= 0 {
-		o.MaxErrors = 10
-	}
-	return o
-}
-
-// Worker pulls leases from a coordinator and runs them through the
-// sweep machinery, one cell at a time, heartbeating each lease while
-// the cell runs.
-type Worker struct {
-	conn Conn
-	o    WorkerOptions
-}
-
-// NewWorker builds a worker over the transport.
-func NewWorker(conn Conn, o WorkerOptions) *Worker {
-	return &Worker{conn: conn, o: o.withDefaults()}
-}
-
-// logf emits a progress line when a logger is configured.
-func (w *Worker) logf(format string, args ...any) {
-	if w.o.Logf != nil {
-		w.o.Logf(format, args...)
+// NewWorker binds the one worker loop to a coordinator over the
+// transport: each grant's task is rebuilt into a cell with
+// Task.MakeCell. Run's first context is the hard stop, its second the
+// graceful drain (sweep.Worker.Run).
+func NewWorker(conn Conn, o WorkerOptions) *sweep.Worker {
+	l := &connLeases{conn: conn, hooks: o.Hooks}
+	return &sweep.Worker{
+		ID:     o.ID,
+		Leases: l,
+		// A worker runs one cell at a time, so the last granted task
+		// is the one being run.
+		Cell:        func(sweep.Grant) (sweep.Cell, error) { return l.task.MakeCell() },
+		Options:     sweep.Options{CellTimeout: o.CellTimeout},
+		BackoffBase: o.BackoffBase, BackoffMax: o.BackoffMax, MaxErrors: o.MaxErrors,
+		Logf: o.Logf,
 	}
 }
 
-// Run pulls and runs leases until the coordinator reports the grid
-// settled, claimCtx is canceled (graceful drain: the in-flight cell
-// finishes and commits, then the worker says goodbye), or runCtx is
-// canceled (hard stop: the in-flight cell is abandoned and its lease
-// released). It returns nil on done/drain, runCtx's cause on a hard
-// stop, and an error when the coordinator stays unreachable past the
-// retry budget.
-func (w *Worker) Run(runCtx, claimCtx context.Context) error {
-	errs := 0
-	delay := w.o.BackoffBase
-	for {
-		if runCtx.Err() != nil {
-			w.farewell(runCtx)
-			return fmt.Errorf("dist: %w", context.Cause(runCtx))
-		}
-		if claimCtx.Err() != nil {
-			w.logf("worker %s: drained", w.o.ID)
-			w.farewell(runCtx)
-			return nil
-		}
-		resp, err := w.conn.Call(claimCtx, Request{Op: "claim", Worker: w.o.ID})
-		if err != nil || resp.Error != "" {
-			if claimCtx.Err() != nil {
-				continue // drain or stop raced the call; resolve at the top
-			}
-			if err == nil {
-				err = fmt.Errorf("dist: coordinator refused: %s", resp.Error)
-			}
-			errs++
-			if errs >= w.o.MaxErrors {
-				return fmt.Errorf("dist: giving up after %d consecutive claim failures: %w", errs, err)
-			}
-			delay = w.sleep(runCtx, delay)
-			continue
-		}
-		errs = 0
-		if resp.Done {
-			w.logf("worker %s: grid settled", w.o.ID)
-			w.farewell(runCtx)
-			return nil
-		}
-		if resp.Task == nil {
-			// Every unsettled cell is leased elsewhere: poll again after
-			// a backoff (the polling also drives coordinator-side lease
-			// expiry, so an idle worker is what rescues a hung one).
-			delay = w.sleep(runCtx, delay)
-			continue
-		}
-		delay = w.o.BackoffBase
-		if err := w.runTask(runCtx, resp); err != nil {
-			return err
-		}
-	}
+// connLeases is sweep.Leases over a Conn.
+type connLeases struct {
+	conn  Conn
+	hooks faultinject.WorkerHooks
+	// task is the last granted task; hooked is the token whose commit
+	// hooks already ran, so a redelivered commit does not rerun them.
+	task   Task
+	hooked uint64
 }
 
-// sleep waits the current backoff (or until runCtx cancels) and
-// returns the next, doubled and capped, delay.
-func (w *Worker) sleep(runCtx context.Context, delay time.Duration) time.Duration {
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-runCtx.Done():
-	case <-t.C:
+func (l *connLeases) Claim(ctx context.Context, worker string) (sweep.Grant, error) {
+	resp, err := l.conn.Call(ctx, Request{Op: "claim", Worker: worker})
+	if err = wireErr(resp, err); err != nil {
+		return sweep.Grant{State: sweep.ClaimFailed}, err
 	}
-	delay *= 2
-	if delay > w.o.BackoffMax {
-		delay = w.o.BackoffMax
-	}
-	return delay
-}
-
-// runTask runs one granted lease to its protocol conclusion: commit,
-// fail, release (hard stop), or silent abandonment (lease fenced away
-// mid-run). Only a hard stop or a dead coordinator returns an error.
-func (w *Worker) runTask(runCtx context.Context, grant Response) error {
-	task := *grant.Task
-	w.logf("worker %s: claimed cell %d (%s vs %s, token %d)",
-		w.o.ID, task.Cell, task.Label, task.Manager, grant.Token)
-	if w.o.Hooks.AfterClaim != nil {
-		w.o.Hooks.AfterClaim(task.Cell)
-	}
-
-	// Heartbeat the lease while the cell runs. A fenced renewal means
-	// the lease expired and was reassigned: cancel the attempt and
-	// abandon the work (the new holder owns the cell now).
-	cellCtx, cancelCell := context.WithCancel(runCtx)
-	defer cancelCell()
-	var fenced atomic.Bool
-	hbStop := make(chan struct{})
-	hbDone := make(chan struct{})
-	ttl := time.Duration(grant.TTLMillis) * time.Millisecond
-	interval := ttl / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-cellCtx.Done():
-				return
-			case <-t.C:
-				resp, err := w.conn.Call(cellCtx, Request{
-					Op: "renew", Worker: w.o.ID, Cell: task.Cell, Token: grant.Token,
-				})
-				if err == nil && resp.Fenced {
-					w.logf("worker %s: lease on cell %d fenced away; abandoning", w.o.ID, task.Cell)
-					fenced.Store(true)
-					cancelCell()
-					return
-				}
-				// Transport errors here are not fatal: the run continues
-				// and the commit (which retries) decides.
-			}
-		}
-	}()
-
-	var out sweep.Outcome
-	cell, err := task.MakeCell()
-	if err != nil {
-		out = sweep.Outcome{Err: err}
-	} else {
-		outs, _ := sweep.RunOpts(cellCtx, []sweep.Cell{cell}, sweep.Options{
-			Parallelism: 1, CellTimeout: w.o.CellTimeout,
-		})
-		out = outs[0]
-	}
-	close(hbStop)
-	<-hbDone
-
 	switch {
-	case fenced.Load():
-		return nil
-	case runCtx.Err() != nil:
-		// Hard stop mid-cell: hand the lease back so the cell is
-		// immediately claimable, then report the interruption.
-		w.release(runCtx, task, grant.Token)
-		return fmt.Errorf("dist: %w", context.Cause(runCtx))
-	case out.Err != nil:
-		w.logf("worker %s: cell %d failed: %v", w.o.ID, task.Cell, out.Err)
-		resp, err := w.conn.Call(runCtx, Request{
-			Op: "fail", Worker: w.o.ID, Cell: task.Cell, Token: grant.Token,
-			Reason: out.Err.Error(),
-		})
-		if err == nil && resp.Fenced {
-			w.logf("worker %s: failure report for cell %d fenced (lease reassigned)", w.o.ID, task.Cell)
-		}
-		return nil
+	case resp.Done:
+		return sweep.Grant{State: sweep.ClaimDone}, nil
+	case resp.Task == nil:
+		return sweep.Grant{State: sweep.ClaimEmpty}, nil
 	}
+	l.task = *resp.Task
+	if l.hooks.AfterClaim != nil {
+		l.hooks.AfterClaim(l.task.Cell)
+	}
+	return sweep.Grant{
+		State: sweep.ClaimGranted, Cell: l.task.Cell, Token: resp.Token,
+		TTL: time.Duration(resp.TTLMillis) * time.Millisecond,
+	}, nil
+}
 
-	if w.o.Hooks.BeforeCommit != nil {
-		w.o.Hooks.BeforeCommit(task.Cell)
-	}
+func (l *connLeases) Renew(ctx context.Context, worker string, cell int, token uint64) error {
+	return wireErr(l.conn.Call(ctx, Request{Op: "renew", Worker: worker, Cell: cell, Token: token}))
+}
+
+func (l *connLeases) Commit(ctx context.Context, worker string, cell int, token uint64, res sim.Result) error {
 	copies := 1
-	if w.o.Hooks.CommitCopies != nil {
-		if n := w.o.Hooks.CommitCopies(task.Cell); n > copies {
-			copies = n
+	if token != l.hooked {
+		l.hooked = token
+		if l.hooks.BeforeCommit != nil {
+			l.hooks.BeforeCommit(cell)
+		}
+		if l.hooks.CommitCopies != nil {
+			copies = l.hooks.CommitCopies(cell)
 		}
 	}
-	for i := 0; i < copies; i++ {
-		if err := w.commit(runCtx, task, grant.Token, out); err != nil {
-			return err
-		}
+	req := Request{Op: "commit", Worker: worker, Cell: cell, Token: token, Result: &res}
+	err := wireErr(l.conn.Call(ctx, req))
+	for i := 1; i < copies && err == nil; i++ {
+		// Duplicate delivery, for drills: the coordinator fences it.
+		_, _ = l.conn.Call(ctx, req)
+	}
+	return err
+}
+
+// Fail reports a failed attempt. A canceled one is the worker's hard
+// stop, not the cell's fault: its lease is released instead, so the
+// cell is claimable at once with no failure charged.
+func (l *connLeases) Fail(ctx context.Context, worker string, cell int, token uint64, kind sweep.FailKind, o sweep.Outcome) error {
+	req := Request{Op: "fail", Worker: worker, Cell: cell, Token: token, Reason: o.Err.Error()}
+	if kind == sweep.FailCanceled {
+		req = Request{Op: "release", Worker: worker, Cell: cell, Token: token}
+	}
+	return wireErr(l.conn.Call(ctx, req))
+}
+
+func (l *connLeases) Goodbye(ctx context.Context, worker string) {
+	_, _ = l.conn.Call(ctx, Request{Op: "goodbye", Worker: worker})
+}
+
+// wireErr maps a call's outcome to the lease interface's errors: a
+// fenced response wraps resume.ErrFenced, a coordinator-side error is
+// a refusal.
+func wireErr(resp Response, err error) error {
+	switch {
+	case err != nil:
+		return err
+	case resp.Fenced:
+		return fmt.Errorf("dist: %w", resume.ErrFenced)
+	case resp.Error != "":
+		return fmt.Errorf("dist: coordinator refused: %s", resp.Error)
 	}
 	return nil
-}
-
-// commit delivers one commit, retrying transport errors with backoff:
-// commits are fenced server-side, so re-delivery is always safe.
-func (w *Worker) commit(runCtx context.Context, task Task, token uint64, out sweep.Outcome) error {
-	delay := w.o.BackoffBase
-	for attempt := 1; ; attempt++ {
-		resp, err := w.conn.Call(runCtx, Request{
-			Op: "commit", Worker: w.o.ID, Cell: task.Cell, Token: token,
-			Result: &out.Result,
-		})
-		if err != nil {
-			if runCtx.Err() != nil {
-				return fmt.Errorf("dist: %w", context.Cause(runCtx))
-			}
-			if attempt >= w.o.MaxErrors {
-				return fmt.Errorf("dist: commit for cell %d undeliverable after %d attempts: %w", task.Cell, attempt, err)
-			}
-			delay = w.sleep(runCtx, delay)
-			continue
-		}
-		if resp.Fenced {
-			w.logf("worker %s: commit for cell %d fenced (stale or duplicate)", w.o.ID, task.Cell)
-		} else if resp.OK {
-			w.logf("worker %s: committed cell %d", w.o.ID, task.Cell)
-		}
-		return nil
-	}
-}
-
-// release hands a lease back on a hard stop, best-effort: the calling
-// context is already canceled, so the farewell rides a short detached
-// deadline. An undeliverable release is fine — the lease expires.
-func (w *Worker) release(runCtx context.Context, task Task, token uint64) {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(runCtx), 2*time.Second)
-	defer cancel()
-	_, _ = w.conn.Call(ctx, Request{Op: "release", Worker: w.o.ID, Cell: task.Cell, Token: token})
-}
-
-// farewell tells the coordinator this worker is leaving, best-effort
-// and on a short detached deadline (runCtx may already be canceled).
-func (w *Worker) farewell(runCtx context.Context) {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(runCtx), 2*time.Second)
-	defer cancel()
-	_, _ = w.conn.Call(ctx, Request{Op: "goodbye", Worker: w.o.ID})
 }

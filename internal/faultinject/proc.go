@@ -17,8 +17,8 @@ import (
 	"syscall"
 )
 
-// WorkerHooks carries process-level injector callbacks matching the
-// hook points of internal/dist's worker loop. Zero-value fields mean
+// WorkerHooks carries process-level injector callbacks for the hook
+// points of internal/dist's remote worker. Zero-value fields mean
 // "no fault at that point".
 type WorkerHooks struct {
 	// AfterClaim runs when a claimed cell's work is about to start.

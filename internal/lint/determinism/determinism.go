@@ -39,10 +39,10 @@ var Analyzer = &analysis.Analyzer{
 var scope = []string{
 	"internal/adversary", "internal/mm", "internal/heap",
 	"internal/bounds", "internal/word", "internal/sim",
-	// The distributed coordinator decides results that must merge
-	// byte-identically with a single-process run, so it is held to the
-	// same rule; its one legitimate wall-clock read (lease expiry
-	// measures real worker silence) carries an explicit waiver.
+	// The distributed bindings carry results that must merge
+	// byte-identically with a single-process run, so they are held to
+	// the same rule. The coordinator's lease-expiry clock (real worker
+	// silence, never a result) lives in internal/sweep, outside it.
 	"internal/dist",
 }
 

@@ -1,5 +1,6 @@
 // Package lockorder proves the flat lock hierarchy of the concurrent
-// packages (internal/heap/sharded, internal/dist) statically. Every
+// packages (internal/heap/sharded, internal/sweep, internal/dist)
+// statically. Every
 // sync.Mutex/RWMutex struct field in scope must declare its place in
 // the hierarchy with a //compactlint:lockrank <n> directive, and every
 // execution path must acquire ranked locks in strictly increasing rank
@@ -36,12 +37,12 @@ import (
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "mutex acquisitions in sharded/dist must follow declared lockrank order, never double-acquire, and never escape a return undeferred",
+	Doc:  "mutex acquisitions in sharded/sweep/dist must follow declared lockrank order, never double-acquire, and never escape a return undeferred",
 	Run:  run,
 }
 
 // Scope: the packages whose locks participate in the ranked hierarchy.
-var scope = []string{"internal/heap/sharded", "internal/dist"}
+var scope = []string{"internal/heap/sharded", "internal/sweep", "internal/dist"}
 
 func run(pass *analysis.Pass) (any, error) {
 	if !lintutil.PathMatches(pass.Pkg.Path(), scope...) {

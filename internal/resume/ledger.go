@@ -174,16 +174,6 @@ func maxEpoch(dir string) (uint64, error) {
 // Epoch returns this writer's fencing epoch.
 func (l *Ledger) Epoch() uint64 { return l.epoch }
 
-// Append durably appends one lease record. It fails with ErrFenced
-// when a newer epoch has been acquired on the directory: the stale
-// writer learns it is dead the moment it tries to write, and the log
-// stays single-writer by construction.
-func (l *Ledger) Append(rec LeaseRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(rec)
-}
-
 // checkFence fails with ErrFenced once a successor epoch exists. Dense
 // epoch numbering makes it one stat: any successor must have created
 // exactly epoch+1.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -80,8 +81,17 @@ func TestLedgerRoundtripAndReplay(t *testing.T) {
 	if !ok || rec.Result == nil || rec.Result.HighWater != 0 || rec.Result.Rounds != 10 {
 		t.Fatalf("replay commit for cell 0: %+v", rec)
 	}
-	if reason := st.quarantined[1].Reason; reason != "boom" {
-		t.Fatalf("quarantine reason = %q, want boom", reason)
+	if _, ok := st.commits[1]; ok {
+		t.Fatal("replay committed cell 1, which only failed and was quarantined")
+	}
+	// Quarantines stay in the log as an audit trail; replay does not
+	// adopt them.
+	raw, err := os.ReadFile(filepath.Join(dir, ledgerFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"op":"quarantine","cell":1`) || !strings.Contains(string(raw), `"reason":"boom"`) {
+		t.Fatalf("quarantine record missing from the log:\n%s", raw)
 	}
 	if st.maxToken != 2 {
 		t.Fatalf("max token = %d, want 2", st.maxToken)

@@ -28,14 +28,12 @@ type header struct {
 type state struct {
 	// commits maps a cell to its first commit record.
 	commits map[int]LeaseRecord
-	// quarantined maps a cell to its quarantine record.
-	quarantined map[int]LeaseRecord
 	// maxToken is the highest token in any record.
 	maxToken uint64
 }
 
 func newState() state {
-	return state{commits: make(map[int]LeaseRecord), quarantined: make(map[int]LeaseRecord)}
+	return state{commits: make(map[int]LeaseRecord)}
 }
 
 // apply folds one record into the state: the first commit per cell
@@ -44,13 +42,8 @@ func (s *state) apply(rec LeaseRecord) {
 	if rec.Token > s.maxToken {
 		s.maxToken = rec.Token
 	}
-	switch rec.Op {
-	case OpCommit:
-		if _, ok := s.commits[rec.Cell]; !ok {
-			s.commits[rec.Cell] = rec
-		}
-	case OpQuarantine:
-		s.quarantined[rec.Cell] = rec
+	if _, ok := s.commits[rec.Cell]; !ok && rec.Op == OpCommit {
+		s.commits[rec.Cell] = rec
 	}
 }
 
@@ -158,6 +151,16 @@ func (l *recordLog) Bind(gridFP string, cells int, params string) error {
 	}
 	l.hdr, l.bound = want, true
 	return nil
+}
+
+// Append durably appends one record. A Ledger's append fails with
+// ErrFenced once a newer epoch has been acquired on its directory: the
+// stale writer learns it is dead the moment it tries to write, and the
+// log stays single-writer by construction.
+func (l *recordLog) Append(rec LeaseRecord) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLocked(rec)
 }
 
 // appendLocked durably appends one record and folds it into the state.

@@ -73,9 +73,11 @@ func GridFingerprint(cellFPs []string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Log is a record log Restore can bind and read: a *Journal or a
-// *Ledger. A nil *Journal or *Ledger holds nothing.
+// Log is a record log a scheduler binds, reads and appends to: a
+// *Journal or a *Ledger. Restore treats a nil Log, or a nil *Journal
+// or *Ledger, as holding nothing.
 type Log interface {
+	Append(rec LeaseRecord) error
 	records() *recordLog
 }
 
@@ -83,10 +85,10 @@ type Log interface {
 type Restored struct {
 	// Fingerprints are the cell fingerprints, in grid order.
 	Fingerprints []string
-	// Results maps a cell to its first committed result.
+	// Results maps a cell to its first committed result. Holes are
+	// never restored: a cell that failed, or was quarantined, in an
+	// earlier run is run again.
 	Results map[int]sim.Result
-	// Quarantined maps an uncommitted cell to its quarantine reason.
-	Quarantined map[int]string
 	// MaxToken is the highest lease token in any record, so a resumed
 	// coordinator issues strictly newer tokens.
 	MaxToken uint64
@@ -100,12 +102,14 @@ func Restore(l Log, keys []CellKey, params string) (*Restored, error) {
 	r := &Restored{
 		Fingerprints: make([]string, len(keys)),
 		Results:      make(map[int]sim.Result),
-		Quarantined:  make(map[int]string),
 	}
 	for i, k := range keys {
 		r.Fingerprints[i] = Fingerprint(k)
 	}
-	rl := l.records()
+	var rl *recordLog
+	if l != nil {
+		rl = l.records()
+	}
 	if rl == nil {
 		return r, nil
 	}
@@ -114,27 +118,19 @@ func Restore(l Log, keys []CellKey, params string) (*Restored, error) {
 	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	ours := func(rec LeaseRecord) bool {
-		return rec.Cell >= 0 && rec.Cell < len(keys) && rec.Fingerprint == r.Fingerprints[rec.Cell]
-	}
 	for cell, rec := range rl.st.commits {
-		if rec.Result != nil && ours(rec) {
+		if rec.Result != nil && cell >= 0 && cell < len(keys) && rec.Fingerprint == r.Fingerprints[cell] {
 			r.Results[cell] = *rec.Result
-		}
-	}
-	for cell, rec := range rl.st.quarantined {
-		if _, done := r.Results[cell]; !done && ours(rec) {
-			r.Quarantined[cell] = rec.Reason
 		}
 	}
 	r.MaxToken = rl.st.maxToken
 	return r, nil
 }
 
-// Entry is one journaled cell outcome. Only successful outcomes are
-// journaled: failed cells are re-run on resume, so a transient fault
-// in the original run does not become a permanent hole. Label and
-// Manager are covered by the fingerprint and are not stored.
+// Entry is one journaled cell outcome. Only commits are restored:
+// failed cells are re-run on resume, so a transient fault in the
+// original run does not become a permanent hole. Label and Manager
+// are covered by the fingerprint and are not stored.
 type Entry struct {
 	Fingerprint    string
 	Index          int

@@ -74,8 +74,8 @@ type Spec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// CellTimeoutMS bounds each cell attempt's wall clock.
 	CellTimeoutMS int64 `json:"cell_timeout_ms,omitempty"`
-	// Retries re-runs failed cells with backoff before declaring a
-	// hole.
+	// Retries is how many times a failed cell is re-run before it is
+	// declared a hole.
 	Retries int `json:"retries,omitempty"`
 	// Stream selects the event-stream verbosity (StreamOff,
 	// StreamRounds, StreamAll). Empty means StreamRounds.
@@ -223,7 +223,6 @@ func (sp Spec) options() sweep.Options {
 		Parallelism: sp.Parallelism,
 		CellTimeout: time.Duration(sp.CellTimeoutMS) * time.Millisecond,
 		Retries:     sp.Retries,
-		Seed:        sp.Seed,
 		Params:      sp.JournalParams(),
 	}
 }

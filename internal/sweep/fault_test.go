@@ -127,7 +127,6 @@ func TestTransientFailureRetriesToSuccess(t *testing.T) {
 	rec := &obs.Recorder{}
 	outs, err := RunOpts(context.Background(), cells, Options{
 		Parallelism: 2, Monitor: mon, Retries: 3,
-		BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
 		Tracer: rec,
 	})
 	if err != nil {
@@ -167,7 +166,6 @@ func TestRetriesExhaustedDegrades(t *testing.T) {
 	rec := &obs.Recorder{}
 	outs, err := RunOpts(context.Background(), cells, Options{
 		Parallelism: 1, Monitor: mon, Retries: 2,
-		BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
 		Tracer: rec,
 	})
 	if err != nil {
@@ -438,41 +436,6 @@ func TestCheckpointEventsAndGauges(t *testing.T) {
 	}
 }
 
-// TestBackoffDeterministicJitter: equal seeds back off identically,
-// different seeds differ somewhere.
-func TestBackoffJitterIsSeeded(t *testing.T) {
-	delays := func(seed int64) []time.Duration {
-		s := &scheduler{o: Options{BackoffBase: 10 * time.Millisecond, BackoffMax: time.Second, Seed: seed}}
-		var ds []time.Duration
-		for cell := 0; cell < 4; cell++ {
-			for attempt := 1; attempt <= 3; attempt++ {
-				ds = append(ds, s.backoffDelay(cell, attempt))
-			}
-		}
-		return ds
-	}
-	a, b, c := delays(1), delays(1), delays(2)
-	same12, same13 := true, true
-	for i := range a {
-		if a[i] != b[i] {
-			same12 = false
-		}
-		if a[i] != c[i] {
-			same13 = false
-		}
-		base := 10 * time.Millisecond << (i % 3)
-		if a[i] < base || a[i] > base+base/2 {
-			t.Fatalf("delay %d = %v outside [base, 1.5·base] for base %v", i, a[i], base)
-		}
-	}
-	if !same12 {
-		t.Fatal("equal seeds produced different backoff")
-	}
-	if same13 {
-		t.Fatal("different seeds produced identical backoff")
-	}
-}
-
 // TestTickerGoroutineDoesNotLeak covers the satellite: the progress
 // ticker goroutine must terminate when stopped, including after a
 // sweep that returned early, and stop must be idempotent.
@@ -521,4 +484,30 @@ func registerFlakyOnce(t *testing.T) {
 		}
 		return faultinject.FailAllocAt(inner, 3)
 	})
+}
+
+// TestSettleWakesIdleWorker: a worker with nothing to claim is woken by
+// the coordinator when the grid settles, not by a back-off timer. With
+// two workers and one ~300ms cell, the idle worker must not hold
+// RunOpts past the slow cell by anything like the 2s back-off ceiling.
+func TestSettleWakesIdleWorker(t *testing.T) {
+	cells := faultCells(2)
+	inner := cells[1].Program
+	cells[1].Program = func() sim.Program {
+		return faultinject.Slow(inner(), 25*time.Millisecond) // 12 rounds
+	}
+	start := time.Now()
+	outs, err := RunOpts(context.Background(), cells, Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	for i, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("cell %d: %v", i, o.Err)
+		}
+	}
+	if elapsed > time.Second {
+		t.Fatalf("RunOpts took %v for a ~300ms cell; an idle worker slept instead of being woken", elapsed)
+	}
 }

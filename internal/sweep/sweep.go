@@ -5,15 +5,21 @@
 // independent deterministic simulation, so the sweep is embarrassingly
 // parallel.
 //
+// One scheduler runs every sweep: a Coordinator leases the grid's
+// cells to Workers and logs each decision; a Worker runs each leased
+// cell on its reused engine. RunOpts (and so every compactd job) is a
+// Coordinator plus in-process Workers; internal/dist serves the same
+// Coordinator to remote Workers over a wire.
+//
 // Paper-scale grids run for minutes to hours, so the sweep is also
 // fault-tolerant: cells are isolated (a panicking or erroring cell
 // becomes a typed hole, never a torn-down sweep), attempts are bounded
-// by per-cell deadlines and retried with exponential backoff + seeded
-// jitter, completed cells are durably journaled through
-// internal/resume so a killed sweep resumes exactly where it stopped,
-// and cancellation is cooperative end-to-end: Run, RunWith and
-// RunOpts take a context, and a canceled sweep returns a partial grid
-// with explicit holes rather than nothing. See Options.
+// by per-cell deadlines, a failed attempt sends its cell back to
+// pending until its retries are spent, completed cells are durably
+// journaled through internal/resume so a killed sweep resumes exactly
+// where it stopped, and cancellation is cooperative end-to-end: Run,
+// RunWith and RunOpts take a context, and a canceled sweep returns a
+// partial grid with explicit holes rather than nothing. See Options.
 package sweep
 
 import (
@@ -27,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"compaction/internal/mm"
@@ -154,23 +159,16 @@ type Options struct {
 	CellTimeout time.Duration
 	// Retries is how many times a failed attempt is re-run before the
 	// cell becomes a hole. Every failure except sweep cancellation is
-	// considered possibly transient and retried: a deterministic model
-	// violation wastes its retries quickly, while an injected or
-	// environmental fault gets its chance to clear.
+	// considered possibly transient and retried, at once: a
+	// deterministic model violation wastes its retries quickly, while
+	// an injected or environmental fault gets its chance to clear.
 	Retries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// retries (base, 2·base, 4·base, … capped at max), each delay
-	// stretched by up to 50% deterministic jitter. Defaults: 10ms, 1s.
-	BackoffBase, BackoffMax time.Duration
-	// Seed drives the backoff jitter (and nothing else); sweeps with
-	// equal seeds back off identically. 0 is a valid seed.
-	Seed int64
-	// Journal, if non-nil, is the durable checkpoint: each completed
-	// cell is appended as one synced record, and a resumed sweep
-	// restores the recorded cells without re-running them. The journal
-	// must be freshly opened or belong to this exact grid; RunOpts
-	// refuses a mismatch. Failed cells are never journaled — they
-	// re-run on resume.
+	// Journal, if non-nil, is the durable checkpoint: the coordinator
+	// appends each lease decision (claim, commit, failure) as one
+	// synced record, and a resumed sweep restores the committed cells
+	// without re-running them. The journal must be freshly opened or
+	// belong to this exact grid; RunOpts refuses a mismatch. Holes are
+	// never restored — failed cells re-run on resume.
 	Journal *resume.Journal
 	// Params is an opaque program-identity string bound into the
 	// journal header (e.g. "adv=pf seed=1 rounds=100"); resuming with
@@ -216,282 +214,93 @@ type Options struct {
 	ProfileLabels map[string]string
 }
 
-func (o Options) withDefaults(cells int) Options {
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.NumCPU()
-	}
-	if o.Parallelism > cells {
-		o.Parallelism = cells
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 10 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = time.Second
-	}
-	return o
-}
-
 // Run executes all cells with the given parallelism (<= 0 selects
-// runtime.NumCPU) and returns outcomes in cell order. Workers claim
-// cells from a shared atomic counter and reuse one simulation engine
-// each across their cells (the engine's page-retaining Reset makes
-// back-to-back large runs allocation-free); managers and programs are
-// still constructed fresh per cell, since both are single-use. A
-// canceled context stops the sweep cooperatively; unstarted cells
-// become FailSkipped holes.
+// runtime.NumCPU) and returns outcomes in cell order. Workers lease
+// cells from a Coordinator in grid order and reuse one simulation
+// engine each across their cells (the engine's page-retaining Reset
+// makes back-to-back large runs allocation-free); managers and
+// programs are still constructed fresh per cell, since both are
+// single-use. A canceled context stops the sweep cooperatively;
+// unstarted cells become FailSkipped holes.
 func Run(ctx context.Context, cells []Cell, parallelism int) []Outcome {
 	return RunWith(ctx, cells, parallelism, nil)
 }
 
-// RunWith is Run with an optional Monitor observing progress: each
-// worker reports every finished cell, so long grids are no longer
-// silent — CLIs poll the monitor for a stderr ticker and its gauges
-// are served live over -metrics-addr. A nil monitor reduces RunWith
-// to Run.
+// RunWith is Run with an optional Monitor observing progress: every
+// settled cell is reported, so long grids are no longer silent — CLIs
+// poll the monitor for a stderr ticker and its gauges are served live
+// over -metrics-addr. A nil monitor reduces RunWith to Run.
 func RunWith(ctx context.Context, cells []Cell, parallelism int, mon *Monitor) []Outcome {
 	outs, _ := RunOpts(ctx, cells, Options{Parallelism: parallelism, Monitor: mon})
 	return outs
 }
 
-// RunOpts is the fault-tolerant sweep: Run plus per-cell deadlines,
-// bounded retry with backoff, durable checkpoint/resume, and
+// RunOpts is the fault-tolerant sweep: a Coordinator over the grid's
+// cells plus Parallelism in-process Workers that call it directly. It
+// adds per-cell deadlines, bounded retry (a failed attempt is a lease
+// failure: the cell goes back to pending, and becomes a hole after
+// Retries+1 failed attempts), durable checkpoint/resume, and
 // fault-tolerance observability. The returned error reports sweep
 // infrastructure problems — a journal that belongs to a different
 // grid, or a checkpoint write failure (the sweep still completes; it
 // just stops journaling) — never individual cell failures, which live
 // in the outcomes as typed holes. Cell order is always preserved and
-// the slice always has len(cells) entries.
+// the slice always has len(cells) entries. RunOpts returns as soon as
+// the grid settles or ctx is canceled.
 func RunOpts(ctx context.Context, cells []Cell, o Options) ([]Outcome, error) {
-	o = o.withDefaults(len(cells))
-	s := &scheduler{cells: cells, o: o, mon: o.Monitor, tracer: o.Tracer}
-	out := make([]Outcome, len(cells))
-	restored := make([]bool, len(cells))
+	if o.Parallelism <= 0 {
+		o.Parallelism = runtime.NumCPU()
+	}
+	o.Parallelism = min(o.Parallelism, len(cells))
+	// OnCell calls are serialized across workers, by their own lock so
+	// a slow callback (compactd writing a heatmap file) never holds up
+	// the coordinator.
+	var mu sync.Mutex
+	onCell := o.OnCell
+	notify := func(i int, out Outcome) {
+		if onCell != nil {
+			mu.Lock()
+			defer mu.Unlock()
+			onCell(i, out)
+		}
+	}
+	var log resume.Log
 	if o.Journal != nil {
-		keys := make([]resume.CellKey, len(cells))
-		for i, c := range cells {
-			keys[i] = c.key(i)
-		}
-		r, err := resume.Restore(o.Journal, keys, o.Params)
-		if err != nil {
-			return out, err
-		}
-		s.fps, s.journal = r.Fingerprints, o.Journal
-		for i := range cells {
-			if res, ok := r.Results[i]; ok {
-				out[i] = Outcome{Cell: cells[i], Result: res, Restored: true}
-				restored[i] = true
-				s.notify(i, out[i])
-			}
-		}
+		log = o.Journal
 	}
-	s.mon.begin(len(cells), o.Parallelism)
-	for _, r := range restored {
-		if r {
-			s.mon.cellRestored()
-		}
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < o.Parallelism; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			var e *sim.Engine
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(cells) {
-					return
-				}
-				if restored[i] {
-					continue
-				}
-				if ctx.Err() != nil {
-					out[i] = Outcome{Cell: cells[i], Err: &CellError{
-						Label: cells[i].Label, Manager: cells[i].Manager, Index: i,
-						Kind: FailSkipped, Err: context.Cause(ctx),
-					}}
-					s.notify(i, out[i])
-					s.mon.cellSkipped()
-					continue
-				}
-				out[i], e = s.runCell(ctx, i, e)
-				s.mon.cellDone(worker, out[i].Err != nil)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out, s.err()
-}
-
-// scheduler carries the shared state of one RunOpts call.
-type scheduler struct {
-	cells   []Cell
-	o       Options
-	mon     *Monitor
-	fps     []string
-	journal *resume.Journal
-
-	mu         sync.Mutex
-	tracer     obs.Tracer
-	journalErr error
-	journalOff bool
-
-	// cbMu serializes OnCell callbacks, separately from mu so a slow
-	// callback (compactd writing a heatmap file) never blocks tracer
-	// emissions or checkpoint bookkeeping.
-	cbMu sync.Mutex
-}
-
-// notify delivers a final outcome to the OnCell observer, serialized
-// across workers.
-func (s *scheduler) notify(i int, o Outcome) {
-	if s.o.OnCell == nil {
-		return
-	}
-	s.cbMu.Lock()
-	defer s.cbMu.Unlock()
-	s.o.OnCell(i, o)
-}
-
-// emit serializes tracer emissions across workers.
-func (s *scheduler) emit(ev obs.Event) {
-	if s.tracer == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tracer.Emit(ev)
-	s.mu.Unlock()
-}
-
-// err returns the first sweep-infrastructure error.
-func (s *scheduler) err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalErr
-}
-
-// checkpoint journals a completed cell. A write failure disables
-// further journaling (degraded but still running) and is surfaced by
-// RunOpts once the sweep finishes.
-func (s *scheduler) checkpoint(i int, res sim.Result) {
-	if s.journal == nil {
-		return
-	}
-	s.mu.Lock()
-	off := s.journalOff
-	s.mu.Unlock()
-	if off {
-		return
-	}
-	n, err := s.journal.Record(resume.Entry{
-		Fingerprint: s.fps[i], Index: i,
-		Label: s.cells[i].Label, Manager: s.cells[i].Manager,
-		Result: res,
+	c, err := NewCoordinator(cells, log, CoordOptions{
+		MaxFailures: o.Retries + 1, Params: o.Params, Monitor: o.Monitor,
+		workers: o.Parallelism, tracer: o.Tracer, onHole: notify,
 	})
 	if err != nil {
-		s.mu.Lock()
-		if s.journalErr == nil {
-			s.journalErr = fmt.Errorf("sweep: checkpointing disabled: %w", err)
-		}
-		s.journalOff = true
-		s.mu.Unlock()
-		return
+		return make([]Outcome, len(cells)), err
 	}
-	s.mon.checkpointed()
-	s.emit(obs.Event{Kind: obs.EvCheckpoint, Round: -1, Cell: i, Count: int64(n)})
-}
-
-// runCell runs one cell to its final outcome: attempts with optional
-// deadlines, bounded retries with backoff, typed classification, and
-// a checkpoint on success.
-func (s *scheduler) runCell(ctx context.Context, i int, e *sim.Engine) (Outcome, *sim.Engine) {
-	c := s.cells[i]
-	attempts := 0
-	for {
-		attempts++
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if s.o.CellTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, s.o.CellTimeout)
+	outs := c.Outcomes()
+	for i, out := range outs {
+		if out.Restored {
+			notify(i, out)
 		}
-		var tracer obs.Tracer
-		if s.o.EngineTracer != nil {
-			tracer = s.o.EngineTracer(i)
-		}
-		var hook sim.HeapHook
-		if s.o.HeapProbe != nil {
-			hook = s.o.HeapProbe(i)
-		}
-		var o Outcome
-		var next *sim.Engine
-		attempt := func(ctx context.Context) {
-			o, next = runCellAttempt(ctx, c, e, tracer, hook, s.o.HeapEvery)
-		}
-		if s.o.ProfileLabels != nil {
-			pprof.Do(actx, cellLabels(s.o.ProfileLabels, i), attempt)
-		} else {
-			attempt(actx)
-		}
-		cancel()
-		e = next
-		if o.Err == nil {
-			// Observer before checkpoint: per-cell artifacts written in
-			// OnCell are durable by the time the journal claims the cell.
-			s.notify(i, o)
-			s.checkpoint(i, o.Result)
-			return o, e
-		}
-		kind := classify(ctx, o.Err)
-		if kind != FailCanceled && attempts <= s.o.Retries {
-			s.mon.retried()
-			s.emit(obs.Event{Kind: obs.EvRetry, Round: -1, Cell: i, Attempt: attempts})
-			if !s.backoff(ctx, i, attempts) {
-				// Canceled while backing off: finalize as canceled.
-				kind = FailCanceled
-			} else {
-				continue
-			}
-		}
-		o.Err = &CellError{
-			Label: c.Label, Manager: c.Manager, Index: i,
-			Attempts: attempts, Kind: kind, Err: o.Err,
-		}
-		if kind != FailCanceled {
-			s.emit(obs.Event{Kind: obs.EvDegraded, Round: -1, Cell: i, Attempt: attempts})
-		}
-		s.notify(i, o)
-		return o, e
 	}
-}
-
-// backoffDelay computes the exponential-backoff delay for the given
-// attempt, with deterministic jitter derived from (seed, cell,
-// attempt): sweeps with equal seeds back off identically.
-func (s *scheduler) backoffDelay(cell, attempt int) time.Duration {
-	d := s.o.BackoffBase << (attempt - 1)
-	if d <= 0 || d > s.o.BackoffMax {
-		d = s.o.BackoffMax
+	o.OnCell = notify
+	var wg sync.WaitGroup
+	for w := 0; w < o.Parallelism; w++ {
+		wk := &Worker{
+			ID: strconv.Itoa(w), Leases: c, Options: o,
+			Cell: func(g Grant) (Cell, error) { return cells[g.Cell], nil },
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = wk.Run(ctx, ctx) // in process, only cancellation stops a worker
+		}()
 	}
-	// SplitMix64 over (seed, cell, attempt): stateless jitter in
-	// [0, d/2] that is identical across runs with equal seeds.
-	z := uint64(s.o.Seed)*0x9e3779b97f4a7c15 + uint64(cell)<<16 + uint64(attempt)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return d + time.Duration(z%uint64(d/2+1))
-}
-
-// backoff sleeps the backoffDelay for the given attempt. It returns
-// false when the context was canceled during the wait.
-func (s *scheduler) backoff(ctx context.Context, cell, attempt int) bool {
-	t := time.NewTimer(s.backoffDelay(cell, attempt))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
+	wg.Wait()
+	abandoned := c.abandon(context.Cause(ctx))
+	outs = c.Outcomes()
+	for _, i := range abandoned {
+		notify(i, outs[i])
 	}
+	return outs, c.Err()
 }
 
 // classify maps an attempt error to its failure class. The parent

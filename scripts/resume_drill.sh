@@ -19,26 +19,27 @@ go build -o "$BIN" ./cmd/compactsim
 # Ground truth: the uninterrupted run.
 "$BIN" "${SWEEP_FLAGS[@]}" -csv "$WORKDIR/clean.csv" >/dev/null
 
-# journal_lines counts complete journal lines: the header, then one
-# record per completed cell.
-journal_lines() {
-    if [ -f "$WORKDIR/sweep.ckpt" ]; then wc -l <"$WORKDIR/sweep.ckpt"; else echo 0; fi
+# journal_commits counts the journal's commit records, one per
+# completed cell. The journal also holds the scheduler's claim and
+# failure records, so counting lines would count claims too.
+journal_commits() {
+    if [ -f "$WORKDIR/sweep.ckpt" ]; then grep -c '"op":"commit"' "$WORKDIR/sweep.ckpt" || true; else echo 0; fi
 }
 
 # interrupt_once runs the checkpointed sweep, SIGTERMs it once the
-# journal holds at least $1 complete lines (the first run waits for
-# three records, so one survives the tear below and restores), and
-# requires exit status 3
-# (interrupted), not 0 or 1. The header alone makes the append-only
-# journal non-empty, so the wait counts lines, not bytes: pulling the
-# plug after a record is what exercises restoration.
+# journal holds at least $1 commit records (the first run waits for
+# three, so at least two survive the tear below and restore), and
+# requires exit status 3 (interrupted), not 0 or 1. The header and
+# claim records alone make the append-only journal non-empty, so the
+# wait counts commits, not bytes: pulling the plug after a commit is
+# what exercises restoration.
 interrupt_once() {
     local want=$1 name=$2
     "$BIN" "${SWEEP_FLAGS[@]}" -checkpoint "$WORKDIR/sweep.ckpt" \
         -csv "$WORKDIR/$name.csv" >/dev/null 2>"$WORKDIR/$name.err" &
     local pid=$!
     for _ in $(seq 1 400); do
-        if [ "$(journal_lines)" -ge "$want" ]; then
+        if [ "$(journal_commits)" -ge "$want" ]; then
             break
         fi
         if ! kill -0 "$pid" 2>/dev/null; then
@@ -57,21 +58,21 @@ interrupt_once() {
         cat "$WORKDIR/$name.err" >&2
         exit 1
     fi
-    if [ "$(journal_lines)" -lt 2 ]; then
+    if [ "$(journal_commits)" -lt 1 ]; then
         echo "resume drill: FAIL — no checkpointed cell survived the signal" >&2
         exit 1
     fi
-    echo "resume drill: $name run exited 3 with $(journal_lines) journal lines"
+    echo "resume drill: $name run exited 3 with $(journal_commits) journaled cells"
 }
 
-interrupt_once 4 interrupted
+interrupt_once 3 interrupted
 
 # Tear the journal's last record, as a crash mid-append would, then
 # resume and interrupt once more: the resumed writer must repair the
 # torn tail before it appends, or the records it appends are lost.
 truncate -s -5 "$WORKDIR/sweep.ckpt"
-TORN=$(journal_lines)
-echo "resume drill: tore 5 bytes off the journal ($TORN complete lines left)"
+TORN=$(journal_commits)
+echo "resume drill: tore 5 bytes off the journal ($TORN commit records left)"
 interrupt_once $((TORN + 1)) torn
 if ! grep -q resuming "$WORKDIR/torn.err"; then
     echo "resume drill: FAIL — run after the tear did not restore from the journal" >&2
@@ -82,7 +83,7 @@ fi
 # Resume: same flags, same checkpoint. Must restore every record the
 # journal holds (those appended after the tear included), complete,
 # remove the journal, and reproduce the uninterrupted CSV byte for byte.
-RECORDS=$(($(journal_lines) - 1))
+RECORDS=$(journal_commits)
 "$BIN" "${SWEEP_FLAGS[@]}" -checkpoint "$WORKDIR/sweep.ckpt" \
     -csv "$WORKDIR/resumed.csv" >/dev/null 2>"$WORKDIR/resumed.err"
 if ! grep -q "resuming $RECORDS/" "$WORKDIR/resumed.err"; then

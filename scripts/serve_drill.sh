@@ -65,10 +65,10 @@ echo "serve drill: submitted $JOB"
 
 JOURNAL="$DATA/jobs/$JOB/journal.ckpt"
 for _ in $(seq 1 200); do
-    # Pull the plug only once the journal holds a completed cell (its
-    # header line plus one record), so the restart has something to
-    # restore.
-    if [ -f "$JOURNAL" ] && [ "$(wc -l <"$JOURNAL")" -ge 2 ]; then
+    # Pull the plug only once the journal holds a completed cell (a
+    # commit record; claim records come first), so the restart has
+    # something to restore.
+    if [ -f "$JOURNAL" ] && [ "$(grep -c '"op":"commit"' "$JOURNAL" || true)" -ge 1 ]; then
         break
     fi
     if ! kill -0 "$PID" 2>/dev/null; then
@@ -78,7 +78,7 @@ for _ in $(seq 1 200); do
     fi
     sleep 0.02
 done
-if [ ! -f "$JOURNAL" ] || [ "$(wc -l <"$JOURNAL")" -lt 2 ]; then
+if [ ! -f "$JOURNAL" ] || [ "$(grep -c '"op":"commit"' "$JOURNAL" || true)" -lt 1 ]; then
     echo "serve drill: FAIL — no checkpoint appeared; job finished too fast or never ran" >&2
     exit 1
 fi
