@@ -16,6 +16,7 @@ package compaction_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,7 +108,9 @@ func simConfig() sim.Config {
 
 // BenchmarkSim1PF runs the paper's adversary against every registered
 // manager and reports the measured waste factor; it fails if any
-// manager beats the Theorem 1 floor.
+// manager beats the Theorem 1 floor. It also reports B/word, the heap
+// the run retains at its peak round per word of M, from one extra
+// run outside the timed loop (see retainedPerWord).
 func BenchmarkSim1PF(b *testing.B) {
 	cfg := simConfig()
 	h, _, err := bounds.Theorem1(bounds.Params{M: cfg.M, N: cfg.N, C: cfg.C})
@@ -119,14 +122,7 @@ func BenchmarkSim1PF(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var waste float64
 			for i := 0; i < b.N; i++ {
-				mgr, err := mm.New(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e, err := sim.NewEngine(cfg, core.NewPF(core.Options{}), mgr)
-				if err != nil {
-					b.Fatal(err)
-				}
+				e := newPFEngine(b, cfg, name)
 				res, err := e.Run()
 				if err != nil {
 					b.Fatal(err)
@@ -136,10 +132,47 @@ func BenchmarkSim1PF(b *testing.B) {
 					b.Fatalf("%s beat the Theorem 1 floor: %.4f < %.4f", name, waste, h)
 				}
 			}
+			b.StopTimer()
 			b.ReportMetric(waste, "HS/M")
 			b.ReportMetric(h, "floor")
+			b.ReportMetric(retainedPerWord(b, cfg, name), "B/word")
 		})
 	}
+}
+
+func newPFEngine(b *testing.B, cfg sim.Config, name string) *sim.Engine {
+	mgr, err := mm.New(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := sim.NewEngine(cfg, core.NewPF(core.Options{}), mgr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+// retainedPerWord runs P_F against the manager once more, forcing a
+// garbage collection after every round, and returns the largest live
+// heap a round end retained beyond the heap before the run, per word
+// of M: the memory the run itself needs, without the garbage a
+// collector may leave around it.
+func retainedPerWord(b *testing.B, cfg sim.Config, name string) float64 {
+	e := newPFEngine(b, cfg, name)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base, peak := ms.HeapAlloc, ms.HeapAlloc
+	e.RoundHook = func(sim.Result) {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
+	}
+	if _, err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	runtime.KeepAlive(e)
+	return float64(peak-base) / float64(cfg.M)
 }
 
 // BenchmarkSim2Robson runs Robson's adversary against the non-moving

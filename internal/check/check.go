@@ -23,7 +23,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -80,14 +82,27 @@ const maxViolations = 64
 // Referee wraps a manager and independently re-verifies every engine
 // invariant. It is transparent: Name, placements and errors pass
 // through unchanged, so results with and without a referee are
-// comparable. The shadow state is a flat sorted span table — on
-// purpose not the treap/skip-list code under test.
+// comparable. The shadow state is the referee's own, on purpose not
+// the span table, treap or skip-list code under test: a table of spans
+// indexed by ObjectID, and a flat sorted span table.
 type Referee struct {
 	inner sim.Manager
 	cfg   sim.Config
 
-	byID  map[heap.ObjectID]heap.Span
-	addrs []heap.Span // sorted by Addr, disjoint
+	// dense holds the span of each live object the engine hands an
+	// ID to (sequentially from 1), in fixed pages indexed by ID; Size
+	// 0 marks an empty slot. Other IDs (negative, or beyond the next
+	// page) and spans of non-positive size live in sparse instead.
+	// objects counts both.
+	dense   []*[shadowPage]heap.Span
+	sparse  map[heap.ObjectID]heap.Span
+	objects int
+	addrs   []heap.Span // sorted by Addr, disjoint
+	order   []int32     // sampled mode's rebuild buffer of dense IDs
+
+	// spy wraps the engine's mover for the duration of one Allocate
+	// or StartRound call; reusing it keeps those calls allocation-free.
+	spy spyMover
 
 	live      word.Size
 	maxLive   word.Size
@@ -100,8 +115,9 @@ type Referee struct {
 	// sampleEvery > 1 switches the shadow into sampled mode: the flat
 	// sorted span table is not maintained per operation (each insert or
 	// remove is an O(live) memmove, which dominates paper-scale runs);
-	// instead the whole table is rebuilt from byID and verified for
-	// overlap when CheckRound fires. Counters and byID stay exact.
+	// instead the address order is rebuilt from the per-ID table and
+	// verified for overlap when CheckRound fires. Counters and the
+	// per-ID table stay exact.
 	sampleEvery int
 
 	// tracer, when set, receives one referee-sweep event per
@@ -149,7 +165,9 @@ func (r *Referee) Name() string { return r.inner.Name() }
 // Reset implements sim.Manager.
 func (r *Referee) Reset(cfg sim.Config) {
 	r.cfg = cfg
-	r.byID = make(map[heap.ObjectID]heap.Span)
+	r.dense = nil
+	r.sparse = nil
+	r.objects = 0
 	r.addrs = r.addrs[:0]
 	r.live, r.maxLive = 0, 0
 	r.allocated, r.moved = 0, 0
@@ -208,6 +226,57 @@ func (r *Referee) shadowRemove(s heap.Span) {
 	r.addrs = append(r.addrs[:i], r.addrs[i+1:]...)
 }
 
+// shadowPage is the number of IDs per page of the dense table.
+const shadowPage = 4096
+
+// slot returns object id's slot in the dense table, or nil when id
+// lies outside its pages.
+func (r *Referee) slot(id heap.ObjectID) *heap.Span {
+	if id < 0 || id >= heap.ObjectID(len(r.dense))*shadowPage {
+		return nil
+	}
+	return &r.dense[id/shadowPage][id%shadowPage]
+}
+
+// lookup returns the shadow span of object id.
+func (r *Referee) lookup(id heap.ObjectID) (heap.Span, bool) {
+	if p := r.slot(id); p != nil && p.Size > 0 {
+		return *p, true
+	}
+	s, ok := r.sparse[id]
+	return s, ok
+}
+
+// store records object id, which must not be in the shadow, at s.
+func (r *Referee) store(id heap.ObjectID, s heap.Span) {
+	r.objects++
+	if s.Size > 0 {
+		p := r.slot(id)
+		if p == nil && id >= 0 && id <= math.MaxInt32 && id/shadowPage == heap.ObjectID(len(r.dense)) {
+			r.dense = append(r.dense, new([shadowPage]heap.Span))
+			p = r.slot(id)
+		}
+		if p != nil {
+			*p = s
+			return
+		}
+	}
+	if r.sparse == nil {
+		r.sparse = make(map[heap.ObjectID]heap.Span)
+	}
+	r.sparse[id] = s
+}
+
+// remove forgets object id, which must be in the shadow.
+func (r *Referee) remove(id heap.ObjectID) {
+	r.objects--
+	if p := r.slot(id); p != nil && p.Size > 0 {
+		*p = heap.Span{}
+		return
+	}
+	delete(r.sparse, id)
+}
+
 // place records a new live span after checking the no-overlap,
 // capacity, live-bound and high-water invariants.
 func (r *Referee) place(op string, id heap.ObjectID, s heap.Span) {
@@ -218,11 +287,11 @@ func (r *Referee) place(op string, id heap.ObjectID, s heap.Span) {
 		r.report(RuleOverlap, op, "object %d span %v overlaps a live object", id, s)
 		return
 	}
-	if _, dup := r.byID[id]; dup {
+	if _, dup := r.lookup(id); dup {
 		r.report(RuleBookkeeping, op, "object %d placed twice", id)
 		return
 	}
-	r.byID[id] = s
+	r.store(id, s)
 	if !r.sampled() {
 		r.shadowInsert(s)
 	}
@@ -239,12 +308,12 @@ func (r *Referee) place(op string, id heap.ObjectID, s heap.Span) {
 }
 
 func (r *Referee) drop(op string, id heap.ObjectID) {
-	s, ok := r.byID[id]
+	s, ok := r.lookup(id)
 	if !ok {
 		r.report(RuleBookkeeping, op, "object %d is not live in the shadow", id)
 		return
 	}
-	delete(r.byID, id)
+	r.remove(id)
 	if !r.sampled() {
 		r.shadowRemove(s)
 	}
@@ -257,7 +326,8 @@ func (r *Referee) drop(op string, id heap.ObjectID) {
 // the fresh quota).
 func (r *Referee) Allocate(id heap.ObjectID, size word.Size, mv sim.Mover) (word.Addr, error) {
 	r.allocated += size
-	addr, err := r.inner.Allocate(id, size, &spyMover{r: r, mv: mv})
+	r.spy = spyMover{r: r, mv: mv}
+	addr, err := r.inner.Allocate(id, size, &r.spy)
 	if err != nil {
 		return addr, err
 	}
@@ -267,7 +337,7 @@ func (r *Referee) Allocate(id heap.ObjectID, size word.Size, mv sim.Mover) (word
 
 // Free implements sim.Manager.
 func (r *Referee) Free(id heap.ObjectID, s heap.Span) {
-	if cur, ok := r.byID[id]; !ok || cur != s {
+	if cur, ok := r.lookup(id); !ok || cur != s {
 		r.report(RuleBookkeeping, "free", "free of %d span %v, shadow has %v (live=%t)", id, s, cur, ok)
 	}
 	r.drop("free", id)
@@ -280,7 +350,8 @@ func (r *Referee) Free(id heap.ObjectID, s heap.Span) {
 func (r *Referee) StartRound(mv sim.Mover) {
 	r.round++
 	if rc, ok := r.inner.(sim.RoundCompactor); ok {
-		rc.StartRound(&spyMover{r: r, mv: mv})
+		r.spy = spyMover{r: r, mv: mv}
+		rc.StartRound(&r.spy)
 	}
 }
 
@@ -329,27 +400,59 @@ func (r *Referee) CheckRound(res sim.Result) {
 	}
 }
 
-// verifyShadow rebuilds the sorted span table from byID and checks the
-// overlap and live-sum invariants wholesale (sampled mode's substitute
-// for the per-operation checks).
+// verifyShadow rebuilds the address order of the live objects from
+// the per-ID table and checks the overlap and live-sum invariants
+// wholesale (sampled mode's substitute for the per-operation checks).
+// Dense IDs are sorted by (address, ID); the few sparse spans are
+// sorted apart and merged in.
 func (r *Referee) verifyShadow() {
-	spans := r.addrs[:0]
+	if cap(r.order) < r.objects {
+		r.order = make([]int32, 0, r.objects)
+	}
+	order := r.order[:0]
 	var sum word.Size
-	for _, s := range r.byID {
-		spans = append(spans, s)
+	for p, pg := range r.dense {
+		for j, s := range pg {
+			if s.Size > 0 {
+				order = append(order, int32(p*shadowPage+j))
+				sum += s.Size
+			}
+		}
+	}
+	span := func(id int32) heap.Span { return r.dense[id/shadowPage][id%shadowPage] }
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(span(a).Addr, span(b).Addr); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	r.order = order
+	extra := r.addrs[:0]
+	for _, s := range r.sparse {
+		extra = append(extra, s)
 		sum += s.Size
 	}
-	slices.SortFunc(spans, func(a, b heap.Span) int {
-		if a.Addr < b.Addr {
-			return -1
+	slices.SortFunc(extra, func(a, b heap.Span) int {
+		if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+			return c
 		}
-		return 1
+		return cmp.Compare(a.Size, b.Size)
 	})
-	r.addrs = spans
-	for i := 1; i < len(spans); i++ {
-		if spans[i-1].End() > spans[i].Addr {
-			r.report(RuleOverlap, "round", "live objects %v and %v overlap", spans[i-1], spans[i])
+	r.addrs = extra
+	var prev heap.Span
+	for i, j := 0, 0; i < len(order) || j < len(extra); {
+		var s heap.Span
+		if j == len(extra) || (i < len(order) && span(order[i]).Addr <= extra[j].Addr) {
+			s = span(order[i])
+			i++
+		} else {
+			s = extra[j]
+			j++
 		}
+		if i+j > 1 && prev.End() > s.Addr {
+			r.report(RuleOverlap, "round", "live objects %v and %v overlap", prev, s)
+		}
+		prev = s
 	}
 	if sum != r.live {
 		r.report(RuleBookkeeping, "round", "live counter %d, shadow sums to %d", r.live, sum)
@@ -363,7 +466,7 @@ func (r *Referee) HighWater() word.Addr { return r.highWater }
 func (r *Referee) Live() word.Size { return r.live }
 
 // Objects returns the number of objects the shadow considers live.
-func (r *Referee) Objects() int { return len(r.byID) }
+func (r *Referee) Objects() int { return r.objects }
 
 // spyMover interposes on the engine mover to shadow successful moves.
 type spyMover struct {
@@ -373,7 +476,7 @@ type spyMover struct {
 
 func (s *spyMover) Move(id heap.ObjectID, to word.Addr) (bool, error) {
 	r := s.r
-	old, ok := r.byID[id]
+	old, ok := r.lookup(id)
 	if !ok {
 		// The engine will reject this too; record the attempt and pass
 		// it through so error behaviour stays transparent.
@@ -392,7 +495,7 @@ func (s *spyMover) Move(id heap.ObjectID, to word.Addr) (bool, error) {
 	}
 	// Re-place: remove the old span first so an overlapping slide is
 	// legal, exactly as the model allows.
-	delete(r.byID, id)
+	r.remove(id)
 	if !r.sampled() {
 		r.shadowRemove(old)
 	}
@@ -408,7 +511,7 @@ func (s *spyMover) Remaining() word.Size { return s.mv.Remaining() }
 
 func (s *spyMover) Lookup(id heap.ObjectID) (heap.Span, bool) {
 	sp, ok := s.mv.Lookup(id)
-	if shadow, sok := s.r.byID[id]; sok != ok || (ok && shadow != sp) {
+	if shadow, sok := s.r.lookup(id); sok != ok || (ok && shadow != sp) {
 		s.r.report(RuleBookkeeping, "lookup", "engine lookup of %d = (%v,%t), shadow (%v,%t)",
 			id, sp, ok, shadow, sok)
 	}

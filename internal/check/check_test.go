@@ -22,6 +22,7 @@ type stubManager struct {
 		id heap.ObjectID
 		to word.Addr
 	}
+	hook func(sim.Mover) // if set, runs once, before the next placement
 }
 
 func (s *stubManager) Name() string                  { return "stub" }
@@ -32,6 +33,10 @@ func (s *stubManager) Allocate(id heap.ObjectID, size word.Size, mv sim.Mover) (
 		mv.Move(m.id, m.to)
 	}
 	s.moves = nil
+	if h := s.hook; h != nil {
+		s.hook = nil
+		h(mv)
+	}
 	a := s.next[0]
 	s.next = s.next[1:]
 	return a, nil

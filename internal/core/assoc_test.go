@@ -6,8 +6,30 @@ import (
 	"compaction/internal/heap"
 )
 
-func obj(id heap.ObjectID, addr, size int64, live bool) *object {
-	return &object{id: id, span: heap.Span{Addr: addr, Size: size}, live: live}
+// newTestTable returns an empty chunk table over a fresh object store.
+func newTestTable(step, ell int) *chunkTable {
+	return newChunkTable(step, ell, &objects{})
+}
+
+// obj records an object in the table's store and returns its index.
+func obj(tab *chunkTable, id heap.ObjectID, addr, size int64, live bool) int32 {
+	i := tab.objs.add(id, heap.Span{Addr: addr, Size: size})
+	if !live {
+		tab.objs.kill(i)
+	}
+	return i
+}
+
+// trimIDs runs trim and returns the freed IDs.
+func trimIDs(tab *chunkTable) []heap.ObjectID { return tab.trim(nil) }
+
+// entryCount returns the number of entries of chunk d.
+func entryCount(tab *chunkTable, d int32) int {
+	k := 0
+	for n := tab.entries(d); n >= 0; n = tab.nodes[n].next {
+		k++
+	}
+	return k
 }
 
 // TestFigure4Scenario reproduces the paper's Figure 4: chunks of size
@@ -16,23 +38,22 @@ func obj(id heap.ObjectID, addr, size int64, live bool) *object {
 // and C8), O3 (2 words, C9). The program can free O1 — the density of
 // C7 stays 1/4 via O2's half — but nothing else.
 func TestFigure4Scenario(t *testing.T) {
-	tab := newChunkTable(3, 2) // chunk size 8, threshold 2^(3-2) = 2
-	o1 := obj(1, 56, 2, true)  // inside C7 = [56,64)
-	o2 := obj(2, 60, 4, true)  // straddles C7/C8
-	o3 := obj(3, 72, 2, true)  // inside C9
+	tab := newTestTable(3, 2)      // chunk size 8, threshold 2^(3-2) = 2
+	o1 := obj(tab, 1, 56, 2, true) // inside C7 = [56,64)
+	o2 := obj(tab, 2, 60, 4, true) // straddles C7/C8
+	o3 := obj(tab, 3, 72, 2, true) // inside C9
 	tab.associateFull(o1, 7)
 	tab.addEntry(o2, 7, half)
 	tab.addEntry(o2, 8, half)
 	tab.associateFull(o3, 9)
 
-	var freed []heap.ObjectID
-	tab.trim(func(o *object) { freed = append(freed, o.id) })
+	freed := trimIDs(tab)
 
 	if len(freed) != 1 || freed[0] != 1 {
 		t.Fatalf("freed %v, want exactly [1] (O1)", freed)
 	}
-	if o2.live != true || o3.live != true {
-		t.Fatalf("O2/O3 must stay live: %v %v", o2.live, o3.live)
+	if !tab.objs.live(o2) || !tab.objs.live(o3) {
+		t.Fatalf("O2/O3 must stay live: %v %v", tab.objs.live(o2), tab.objs.live(o3))
 	}
 	if tab.sum(7) != 2 || tab.sum(8) != 2 || tab.sum(9) != 2 {
 		t.Fatalf("post-trim sums: C7=%d C8=%d C9=%d, want 2 each",
@@ -44,17 +65,16 @@ func TestHalfTransferMergesToFull(t *testing.T) {
 	// A chunk rich enough to give up its half: the half transfers to
 	// the other chunk, merging into a full association there, and the
 	// receiving chunk is re-evaluated.
-	tab := newChunkTable(3, 2) // threshold 2
-	filler := obj(1, 0, 4, true)
-	o := obj(2, 6, 4, true) // halves on C0 [0,8) and C1 [8,16)
-	big := obj(3, 10, 4, true)
+	tab := newTestTable(3, 2) // threshold 2
+	filler := obj(tab, 1, 0, 4, true)
+	o := obj(tab, 2, 6, 4, true) // halves on C0 [0,8) and C1 [8,16)
+	big := obj(tab, 3, 10, 4, true)
 	tab.associateFull(filler, 0)
 	tab.addEntry(o, 0, half)
 	tab.addEntry(o, 1, half)
 	tab.associateFull(big, 1)
 
-	var freed []heap.ObjectID
-	tab.trim(func(ob *object) { freed = append(freed, ob.id) })
+	freed := trimIDs(tab)
 
 	// C0: sum 6, threshold 2. Largest first: filler(4) freed (sum 2),
 	// half o cannot go (0 < 2). C1: sum 2+4=6: free big (4) leaves 2...
@@ -70,7 +90,7 @@ func TestHalfTransferMergesToFull(t *testing.T) {
 	if len(want) != 0 {
 		t.Fatalf("missing frees: %v (freed=%v)", want, freed)
 	}
-	if !o.live {
+	if !tab.objs.live(o) {
 		t.Fatal("straddling object freed though both chunks need it")
 	}
 }
@@ -79,10 +99,10 @@ func TestHalfFreeTransfersAndCascades(t *testing.T) {
 	// C0 holds a big object + a half; freeing the half transfers the
 	// object fully to C1, where it can then be freed outright because
 	// C1 is also rich.
-	tab := newChunkTable(4, 2) // chunk size 16, threshold 4
-	a := obj(1, 0, 16, true)   // fills C0
-	o := obj(2, 14, 4, true)   // halves on C0, C1
-	b := obj(3, 16, 16, true)  // fills C1 (the engine would reject this
+	tab := newTestTable(4, 2)      // chunk size 16, threshold 4
+	a := obj(tab, 1, 0, 16, true)  // fills C0
+	o := obj(tab, 2, 14, 4, true)  // halves on C0, C1
+	b := obj(tab, 3, 16, 16, true) // fills C1 (the engine would reject this
 	// overlap, but the table is pure bookkeeping and the scenario
 	// isolates the cascade logic)
 	tab.associateFull(a, 0)
@@ -90,22 +110,18 @@ func TestHalfFreeTransfersAndCascades(t *testing.T) {
 	tab.addEntry(o, 1, half)
 	tab.associateFull(b, 1)
 
-	var freed []heap.ObjectID
-	tab.trim(func(ob *object) { freed = append(freed, ob.id) })
+	trimIDs(tab)
 
 	// C0: sum 18 ≥ 4. Free a (16) → sum 2? No: 18−16=2 < 4, so a stays.
 	// Free half o: 18−2=16 ≥ 4 → transfer o to C1 as full.
 	// Re-evaluate C1: sum 16+4=20: free b? 20−16=4 ≥ 4 yes. Then o:
 	// 4−4=0 < 4, stays.
-	if o.live {
-		// o ended fully associated with C1; it may be freed there if
-		// budget allows: 20−16(b freed)−4 = 0 < 4, so o must be live.
-		_ = o
-	}
-	if a.live == false {
+	// o ended fully associated with C1, where 20−16(b freed)−4 = 0 < 4
+	// keeps it live.
+	if !tab.objs.live(a) {
 		t.Fatal("a should not be freeable (C0 would drop below threshold)")
 	}
-	if b.live == true {
+	if tab.objs.live(b) {
 		t.Fatal("b should have been freed from the re-evaluated C1")
 	}
 	if got, ok := tab.entry(1, o); !ok || got != full {
@@ -117,13 +133,14 @@ func TestHalfFreeTransfersAndCascades(t *testing.T) {
 }
 
 func TestDoubleStepMergesChunksAndHalves(t *testing.T) {
-	tab := newChunkTable(3, 2)
-	o := obj(1, 6, 4, true) // halves on C0, C1 (size-8 chunks)
-	solo := obj(2, 17, 2, true)
+	tab := newTestTable(3, 2)
+	o := obj(tab, 1, 6, 4, true) // halves on C0, C1 (size-8 chunks)
+	solo := obj(tab, 2, 17, 2, true)
 	tab.addEntry(o, 0, half)
 	tab.addEntry(o, 1, half)
 	tab.associateFull(solo, 2)
-	tab.inE[5] = true
+	tab.ensure(5)
+	tab.state[5] |= chunkInE
 
 	tab.doubleStep()
 
@@ -143,16 +160,18 @@ func TestDoubleStepMergesChunksAndHalves(t *testing.T) {
 		t.Fatalf("solo not in merged chunk 1: %v %v", p, ok)
 	}
 	// E is cleared at step change.
-	if len(tab.inE) != 0 {
-		t.Fatalf("E not cleared: %v", tab.inE)
+	for d := range tab.head {
+		if tab.inE(int32(d)) {
+			t.Fatalf("E not cleared: chunk %d", d)
+		}
 	}
 }
 
 func TestPlaceNewResetsChunksAndE(t *testing.T) {
-	tab := newChunkTable(3, 2)
-	dead := obj(1, 8, 2, false) // compacted-away remnant on C1
+	tab := newTestTable(3, 2)
+	dead := obj(tab, 1, 8, 2, false) // compacted-away remnant on C1
 	tab.associateFull(dead, 1)
-	o := obj(2, 6, 32, true) // covers C1, C2, C3 fully
+	o := obj(tab, 2, 6, 32, true) // covers C1, C2, C3 fully
 	tab.placeNew(o, 1, 2, 3)
 
 	if p, ok := tab.entry(1, o); !ok || p != half {
@@ -161,10 +180,10 @@ func TestPlaceNewResetsChunksAndE(t *testing.T) {
 	if p, ok := tab.entry(3, o); !ok || p != half {
 		t.Fatalf("D3 association: %v %v", p, ok)
 	}
-	if len(tab.chunks[2]) != 0 {
-		t.Fatalf("D2 should be empty, has %d entries", len(tab.chunks[2]))
+	if k := entryCount(tab, 2); k != 0 {
+		t.Fatalf("D2 should be empty, has %d entries", k)
 	}
-	if !tab.inE[2] {
+	if !tab.inE(2) {
 		t.Fatal("D2 not in E")
 	}
 	if _, ok := tab.entry(1, dead); ok {
@@ -179,10 +198,10 @@ func TestPlaceNewResetsChunksAndE(t *testing.T) {
 }
 
 func TestPlaceNewPanicsOnLiveEntry(t *testing.T) {
-	tab := newChunkTable(3, 2)
-	alive := obj(1, 8, 2, true)
+	tab := newTestTable(3, 2)
+	alive := obj(tab, 1, 8, 2, true)
 	tab.associateFull(alive, 1)
-	o := obj(2, 8, 32, true)
+	o := obj(tab, 2, 8, 32, true)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("placeNew over a live association did not panic")
@@ -196,27 +215,27 @@ func TestTrimBelowThresholdFreesNothing(t *testing.T) {
 	// below the density floor, so line 13 frees nothing — freeing would
 	// decrease the potential function (Claim 4.16) and hand the manager
 	// reusable space without any compaction cost.
-	tab := newChunkTable(4, 2) // threshold 4
-	objs := []*object{obj(1, 0, 1, true), obj(2, 4, 1, true), obj(3, 8, 1, true)}
+	tab := newTestTable(4, 2) // threshold 4
+	objs := []int32{obj(tab, 1, 0, 1, true), obj(tab, 2, 4, 1, true), obj(tab, 3, 8, 1, true)}
 	for _, o := range objs {
 		tab.associateFull(o, 0)
 	}
-	var freed []heap.ObjectID
-	tab.trim(func(o *object) { freed = append(freed, o.id) })
+	freed := trimIDs(tab)
 	if len(freed) != 0 {
 		t.Fatalf("freed %v, want nothing", freed)
 	}
-	if len(tab.chunks[0]) != 3 {
-		t.Fatalf("chunk kept %d entries, want 3", len(tab.chunks[0]))
+	if k := entryCount(tab, 0); k != 3 {
+		t.Fatalf("chunk kept %d entries, want 3", k)
 	}
 }
 
 func TestPotentialComputation(t *testing.T) {
-	tab := newChunkTable(3, 2) // chunk size 8, multiplier 2^2
+	tab := newTestTable(3, 2) // chunk size 8, multiplier 2^2
 	// Chunk 0: sum 2 → u = min(8, 8) = 8. Chunk 1: sum 1 → u = 4.
-	tab.associateFull(obj(1, 0, 2, true), 0)
-	tab.associateFull(obj(2, 8, 1, true), 1)
-	tab.inE[4] = true // contributes chunk size 8
+	tab.associateFull(obj(tab, 1, 0, 2, true), 0)
+	tab.associateFull(obj(tab, 2, 8, 1, true), 1)
+	tab.ensure(4)
+	tab.state[4] |= chunkInE // contributes chunk size 8
 	n := int64(32)
 	want := int64(8 + 4 + 8 - 32/4)
 	if got := tab.potential(n); got != want {
@@ -225,7 +244,7 @@ func TestPotentialComputation(t *testing.T) {
 }
 
 func TestCoveredChunks(t *testing.T) {
-	tab := newChunkTable(3, 2) // chunk size 8
+	tab := newTestTable(3, 2) // chunk size 8
 	// Aligned 32-word object covers 4 chunks.
 	if got := tab.coveredChunks(heap.Span{Addr: 16, Size: 32}); len(got) != 4 || got[0] != 2 {
 		t.Fatalf("aligned coverage: %v", got)

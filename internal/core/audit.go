@@ -15,13 +15,13 @@ import (
 // Checked invariants:
 //
 //  1. the sets O_D are consistent: every association entry appears in
-//     the object's on-object chunk list and vice versa;
+//     the object's chunk slots and vice versa, once;
 //  2. every object is associated with exactly one chunk (full) or two
 //     chunks (one half each);
 //  3. every LIVE associated object physically intersects each chunk it
 //     is associated with;
 //  4. chunks in E have no associated objects;
-//  5. association sums are positive (no empty chunk entries linger).
+//  5. association sums of non-empty chunks are positive.
 func (p *PF) Audit() error {
 	if !p.stage2 {
 		return nil
@@ -29,28 +29,34 @@ func (p *PF) Audit() error {
 	t := p.table
 	cs := t.chunkSize()
 
-	// 1 & 5: chunk-side consistency.
-	seen := make(map[*object][]int64)
-	for d, set := range t.chunks {
-		if len(set) == 0 {
-			return fmt.Errorf("core audit: chunk %d has an empty association set", d)
+	// 1, 4 & 5: chunk-side consistency.
+	seen := make(map[int32][]int32)
+	for i := range t.head {
+		d := int32(i)
+		if t.head[d] < 0 {
+			continue
 		}
-		if t.inE[d] {
-			return fmt.Errorf("core audit: chunk %d is in E but has %d entries", d, len(set))
+		if t.inE(d) {
+			return fmt.Errorf("core audit: chunk %d is in E but has entries", d)
 		}
 		var sum word.Size
-		for _, o := range set {
-			portionOf, ok := t.entry(d, o)
-			if !ok {
-				return fmt.Errorf("core audit: chunk %d entry for object %d missing from its chunk list", d, o.id)
+		for n := t.head[d]; n >= 0; n = t.nodes[n].next {
+			id := t.nodes[n].id
+			slot := t.objs.where(id, d)
+			if slot < 0 {
+				return fmt.Errorf("core audit: chunk %d entry for object %d missing from its chunk slots", d, id)
 			}
-			seen[o] = append(seen[o], d)
-			sum += contribution(o, portionOf)
-			if o.live {
-				chunkSpan := heap.Span{Addr: d * cs, Size: cs}
-				if !o.span.Overlaps(chunkSpan) {
+			ds := seen[id]
+			if len(ds) > 0 && ds[len(ds)-1] == d {
+				return fmt.Errorf("core audit: object %d has two entries in chunk %d", id, d)
+			}
+			seen[id] = append(ds, d)
+			sum += t.objs.contribution(id, slot)
+			if t.objs.live(id) {
+				chunkSpan := heap.Span{Addr: word.Addr(d) * cs, Size: cs}
+				if s := t.objs.span(id); !s.Overlaps(chunkSpan) {
 					return fmt.Errorf("core audit: live object %d %v associated with chunk %d %v it does not intersect (Claim 4.15)",
-						o.id, o.span, d, chunkSpan)
+						id, s, d, chunkSpan)
 				}
 			}
 		}
@@ -59,33 +65,22 @@ func (p *PF) Audit() error {
 		}
 	}
 
-	// 2: object-side consistency against the on-object chunk lists.
-	for o, ds := range seen {
+	// 2: object-side consistency against the chunk slots.
+	for id, ds := range seen {
 		if len(ds) > 2 {
-			return fmt.Errorf("core audit: object %d associated with %d chunks", o.id, len(ds))
-		}
-		if int(o.nw) != len(ds) {
-			return fmt.Errorf("core audit: object %d chunk list has %d entries, chunks show %d",
-				o.id, o.nw, len(ds))
+			return fmt.Errorf("core audit: object %d associated with %d chunks", id, len(ds))
 		}
 		if len(ds) == 2 {
 			for _, d := range ds {
-				if p, _ := t.entry(d, o); p != half {
-					return fmt.Errorf("core audit: object %d in two chunks but not as halves", o.id)
+				if p, _ := t.entry(d, id); p != half {
+					return fmt.Errorf("core audit: object %d in two chunks but not as halves", id)
 				}
 			}
 		}
 	}
-	for _, o := range p.objs {
-		if o != nil && int(o.nw) != len(seen[o]) {
-			return fmt.Errorf("core audit: object %d has stale chunk-list entries", o.id)
-		}
-	}
-
-	// 4 is covered above; verify E chunks are truly empty.
-	for d := range t.inE {
-		if len(t.chunks[d]) != 0 {
-			return fmt.Errorf("core audit: E chunk %d has entries", d)
+	for id := int32(0); id < p.obj.n; id++ {
+		if nw := p.obj.nw(id); nw != len(seen[id]) {
+			return fmt.Errorf("core audit: object %d chunk slots list %d chunks, chunks show %d", id, nw, len(seen[id]))
 		}
 	}
 	return nil

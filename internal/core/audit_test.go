@@ -54,9 +54,12 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt: put a chunk into E that has entries.
-	for d := range pf.table.chunks {
-		pf.table.inE[d] = true
-		break
+	tab := pf.table
+	for d, h := range tab.head {
+		if h >= 0 {
+			tab.state[d] |= chunkInE
+			break
+		}
 	}
 	if err := pf.Audit(); err == nil {
 		t.Fatal("auditor missed E corruption")

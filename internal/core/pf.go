@@ -22,6 +22,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -65,12 +66,9 @@ type PF struct {
 
 	round int
 	f     word.Addr // Robson offset f_i
-	// objs is indexed by ObjectID (the engine hands out sequential
-	// IDs); nil marks an untracked slot. Object records live in arena
-	// pages so their addresses stay stable without a per-object
-	// allocation.
-	objs   []*object
-	arena  []object
+	// obj holds every object P_F has been told about, indexed by
+	// ObjectID.
+	obj    objects
 	liveW  word.Size // live words (engine ground truth mirror)
 	table  *chunkTable
 	stage2 bool
@@ -78,9 +76,8 @@ type PF struct {
 	// Reused per-step scratch buffers. The engine consumes frees within
 	// the step and the trace recorder copies allocs, so both may be
 	// overwritten by the next step.
-	allocBuf   []word.Size
-	freeBuf    []heap.ObjectID
-	trackedBuf []adversary.Tracked
+	allocBuf []word.Size
+	freeBuf  []heap.ObjectID
 
 	// uFirst is the potential right after the line-9 association, the
 	// quantity Lemma 4.5 bounds from below (exposed for validation).
@@ -92,39 +89,6 @@ var _ sim.Program = (*PF)(nil)
 // NewPF builds the adversary.
 func NewPF(opts Options) *PF {
 	return &PF{opts: opts}
-}
-
-// arenaPageSize is the number of object records per arena page.
-const arenaPageSize = 8192
-
-// newObject carves a stable-address object record from the arena.
-func (p *PF) newObject(id heap.ObjectID, s heap.Span) *object {
-	if len(p.arena) == cap(p.arena) {
-		p.arena = make([]object, 0, arenaPageSize)
-	}
-	p.arena = append(p.arena, object{id: id, span: s, live: true})
-	return &p.arena[len(p.arena)-1]
-}
-
-// obj returns the tracked object with the given ID, or nil.
-func (p *PF) obj(id heap.ObjectID) *object {
-	if int64(id) < int64(len(p.objs)) {
-		return p.objs[id]
-	}
-	return nil
-}
-
-func (p *PF) setObj(id heap.ObjectID, o *object) {
-	for int64(id) >= int64(len(p.objs)) {
-		p.objs = append(p.objs, nil)
-	}
-	p.objs[id] = o
-}
-
-func (p *PF) delObj(id heap.ObjectID) {
-	if int64(id) < int64(len(p.objs)) {
-		p.objs[id] = nil
-	}
 }
 
 // fillAllocs returns a reused buffer holding count copies of size.
@@ -187,8 +151,6 @@ func (p *PF) init(v *sim.View) error {
 		// allocates M unit objects) so the hot loop never re-grows them.
 		p.allocBuf = make([]word.Size, 0, p.m)
 		p.freeBuf = make([]heap.ObjectID, 0, p.m/2+1)
-		p.trackedBuf = make([]adversary.Tracked, 0, p.m)
-		p.objs = make([]*object, 0, p.m+1)
 	}
 	p.initialized = true
 	return nil
@@ -216,7 +178,7 @@ func (p *PF) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 		return frees, allocs, done
 	default:
 		if !p.stage2 {
-			p.enterStage2()
+			p.enterStage2(v.HighWater)
 		}
 		if p.table.step < step {
 			p.table.doubleStep()
@@ -238,24 +200,31 @@ func (p *PF) stage1(step int) ([]heap.ObjectID, []word.Size) {
 		return nil, p.fillAllocs(p.m, 1)
 	case step <= p.ell:
 		align := word.Pow2(step)
-		tracked := p.trackedStage1()
-		p.f = adversary.ChooseOffset(tracked, p.f, align)
+		p.f = p.chooseOffset(p.f, align)
 		frees := p.freeBuf[:0]
 		var counted word.Size // live + ghost words that remain
-		for _, tr := range tracked {
-			o := p.obj(tr.ID)
-			if adversary.Occupying(o.span, p.f, align) {
-				counted += o.size()
+		for id := int32(0); id < p.obj.n; id++ {
+			if !p.obj.tracked(id) {
 				continue
 			}
-			if o.live {
-				frees = append(frees, o.id)
-				o.live = false
-				p.liveW -= o.size()
+			if adversary.Occupying(p.obj.span(id), p.f, align) {
+				counted += p.obj.size(id)
+				continue
+			}
+			if p.obj.live(id) {
+				frees = append(frees, heap.ObjectID(id))
+				p.liveW -= p.obj.size(id)
 			}
 			// Non-occupying ghosts disappear from consideration.
-			p.delObj(o.id)
+			p.obj.untrack(id)
 		}
+		// Free in address order; IDs make the order total.
+		slices.SortFunc(frees, func(a, b heap.ObjectID) int {
+			if c := cmp.Compare(p.obj.addr(int32(a)), p.obj.addr(int32(b))); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
 		p.freeBuf = frees
 		count := (p.m - counted) / align
 		return frees, p.fillAllocs(count, align)
@@ -264,33 +233,40 @@ func (p *PF) stage1(step int) ([]heap.ObjectID, []word.Size) {
 	}
 }
 
-// trackedStage1 returns live objects and ghosts in address order,
-// reusing a scratch buffer.
-func (p *PF) trackedStage1() []adversary.Tracked {
-	out := p.trackedBuf[:0]
-	for _, o := range p.objs {
-		if o != nil && (o.live || o.ghost) {
-			out = append(out, adversary.Tracked{ID: o.id, Span: o.span, Ghost: o.ghost})
+// chooseOffset is adversary.ChooseOffset over the live objects and
+// ghosts: keep fPrev unless fPrev + align/2 traps more waste
+// Σ (align − |o|) in f-occupying objects.
+func (p *PF) chooseOffset(fPrev word.Addr, align word.Size) word.Addr {
+	alt := fPrev + align/2
+	var wPrev, wAlt word.Size
+	for id := int32(0); id < p.obj.n; id++ {
+		if !p.obj.tracked(id) {
+			continue
+		}
+		s := p.obj.span(id)
+		if adversary.Occupying(s, fPrev, align) {
+			wPrev += align - s.Size
+		}
+		if adversary.Occupying(s, alt, align) {
+			wAlt += align - s.Size
 		}
 	}
-	slices.SortFunc(out, func(a, b adversary.Tracked) int {
-		switch {
-		case a.Span.Addr < b.Span.Addr:
-			return -1
-		case a.Span.Addr > b.Span.Addr:
-			return 1
-		case a.ID < b.ID: // a ghost may share its address with a live object
-			return -1
-		default:
-			return 1
-		}
-	})
-	p.trackedBuf = out
-	return out
+	if wAlt > wPrev {
+		return alt
+	}
+	return fPrev
+}
+
+// stage2Count is the uncapped object count of line 14 at a step:
+// ⌊x·M·2^{−i−2}⌋.
+func (p *PF) stage2Count(step int) word.Size {
+	return word.Size(p.x * float64(p.m) / float64(word.Pow2(step+2)))
 }
 
 // enterStage2 performs line 9: associate every remaining live object
 // with the chunk (size 2^{2ℓ−1}) containing its f_ℓ-occupying word.
+// It also reserves room for every object stage II can allocate, so
+// the stage's bookkeeping never reallocates.
 //
 // Ghosts are dropped here, not associated: Definition 4.1 says ghost
 // objects "are no longer considered by PF in subsequent steps". This
@@ -299,38 +275,61 @@ func (p *PF) trackedStage1() []adversary.Tracked {
 // reusable chunks that were never paid for with stage-II compaction,
 // breaking Proposition 4.19 (we verified exactly this leak against the
 // threshold evacuator before fixing it; see TestLemmaAccounting).
-func (p *PF) enterStage2() {
+func (p *PF) enterStage2(hw word.Addr) {
 	p.stage2 = true
 	start := 2*p.ell - 1
 	if p.opts.DisableStage1 || start < 0 {
 		start = 2 * p.ell
-		p.table = newChunkTable(start, p.ell)
-		return
 	}
-	p.table = newChunkTable(start, p.ell)
+	p.table = newChunkTable(start, p.ell, &p.obj)
+	// Size the stage for its peak: chunks up to the high-water mark,
+	// one entry per survivor and two per new object, and the largest
+	// line-14 request (the first).
+	var news word.Size
+	for step := 2 * p.ell; step <= p.bigL-2; step++ {
+		news += p.stage2Count(step)
+	}
+	p.obj.reserve(int(news) + 1)
+	p.table.reserve(int32(hw/p.table.chunkSize()), p.survivors()+2*int(news))
+	p.allocBuf = make([]word.Size, 0, p.stage2Count(2*p.ell))
+	if start == 2*p.ell-1 {
+		p.associateSurvivors()
+		p.uFirst = p.table.potential(p.n)
+	}
+}
+
+// survivors counts the live objects.
+func (p *PF) survivors() int {
+	k := 0
+	for id := int32(0); id < p.obj.n; id++ {
+		if p.obj.live(id) {
+			k++
+		}
+	}
+	return k
+}
+
+// associateSurvivors is line 9 proper.
+func (p *PF) associateSurvivors() {
 	alignL := word.Pow2(p.ell)
 	cs := p.table.chunkSize()
-	for _, o := range p.objs {
-		if o == nil {
+	for id := int32(0); id < p.obj.n; id++ {
+		if p.obj.ghost(id) {
+			p.obj.untrack(id) // ghosts disappear at the stage boundary
 			continue
 		}
-		if o.ghost {
-			o.ghost = false // ghosts disappear at the stage boundary
-			p.delObj(o.id)
+		if !p.obj.live(id) {
 			continue
 		}
-		if !o.live {
-			continue
-		}
-		if !adversary.Occupying(o.span, p.f, alignL) {
+		s := p.obj.span(id)
+		if !adversary.Occupying(s, p.f, alignL) {
 			// Everything surviving stage I is f_ℓ-occupying by
 			// construction; defensive check.
-			panic(fmt.Sprintf("core: stage-I survivor %d is not f_ℓ-occupying", o.id))
+			panic(fmt.Sprintf("core: stage-I survivor %d is not f_ℓ-occupying", id))
 		}
-		w := adversary.OccupyingWord(o.span, p.f, alignL)
-		p.table.associateFull(o, w/cs)
+		w := adversary.OccupyingWord(s, p.f, alignL)
+		p.table.associateFull(id, w/cs)
 	}
-	p.uFirst = p.table.potential(p.n)
 }
 
 // UFirst returns u(t_first), the potential right after the line-9
@@ -339,34 +338,30 @@ func (p *PF) UFirst() word.Size { return p.uFirst }
 
 // stage2Frees runs line 13 (the density-preserving trim).
 func (p *PF) stage2Frees() []heap.ObjectID {
+	t := p.table
 	frees := p.freeBuf[:0]
 	if p.opts.DisableDensity {
-		// Ablation: free every live associated object outright.
-		for d := range p.table.chunks {
-			for _, o := range p.table.chunks[d] {
-				if o.live {
-					o.live = false
-					p.liveW -= o.size()
-					frees = append(frees, o.id)
+		// Ablation: free every live associated object outright, and
+		// remove its associations (P_F de-allocated it).
+		for d := range t.head {
+			for n := t.head[d]; n >= 0; n = t.nodes[n].next {
+				if id := t.nodes[n].id; p.obj.live(id) {
+					p.obj.kill(id)
+					p.obj.setNW(id, 0)
+					frees = append(frees, heap.ObjectID(id))
 				}
 			}
 		}
-		// Associations of freed objects are removed (P_F de-allocated
-		// them).
-		for _, id := range frees {
-			o := p.obj(id)
-			for o.nw > 0 {
-				p.table.removeEntry(o, o.wchunks[0])
-			}
+		for d := range t.head {
+			t.prune(int32(d))
 		}
 		slices.Sort(frees)
-		p.freeBuf = frees
-		return frees
+	} else {
+		frees = t.trim(frees)
 	}
-	p.table.trim(func(o *object) {
-		p.liveW -= o.size()
-		frees = append(frees, o.id)
-	})
+	for _, id := range frees {
+		p.liveW -= p.obj.size(int32(id))
+	}
 	p.freeBuf = frees
 	return frees
 }
@@ -375,7 +370,7 @@ func (p *PF) stage2Frees() []heap.ObjectID {
 // capped by the M-bound.
 func (p *PF) stage2Allocs(step int) []word.Size {
 	size := word.Pow2(step + 2)
-	count := word.Size(p.x * float64(p.m) / float64(size))
+	count := p.stage2Count(step)
 	if maxByM := (p.m - p.liveW) / size; count > maxByM {
 		count = maxByM
 	}
@@ -384,8 +379,7 @@ func (p *PF) stage2Allocs(step int) []word.Size {
 
 // Placed implements sim.Program.
 func (p *PF) Placed(id heap.ObjectID, s heap.Span) {
-	o := p.newObject(id, s)
-	p.setObj(id, o)
+	i := p.obj.add(id, s)
 	p.liveW += s.Size
 	if !p.stage2 {
 		return
@@ -394,28 +388,24 @@ func (p *PF) Placed(id heap.ObjectID, s heap.Span) {
 	if len(covered) < 3 {
 		panic(fmt.Sprintf("core: stage-II object %v covers %d chunks, need 3", s, len(covered)))
 	}
-	p.table.placeNew(o, covered[0], covered[1], covered[2])
+	p.table.placeNew(i, covered[0], covered[1], covered[2])
 }
 
 // Moved implements sim.Program: compacted objects are freed
 // immediately. In stage I they persist as ghosts at their original
 // address; in stage II their associations persist as dead entries.
 func (p *PF) Moved(id heap.ObjectID, from, _ heap.Span) bool {
-	o := p.obj(id)
-	if o == nil {
-		panic(fmt.Sprintf("core: move of untracked object %d", id))
+	if id < 0 || id >= heap.ObjectID(p.obj.n) || !p.obj.live(int32(id)) {
+		panic(fmt.Sprintf("core: move of untracked or dead object %d", id))
 	}
-	if !o.live {
-		panic(fmt.Sprintf("core: move of dead object %d", id))
-	}
-	o.live = false
-	p.liveW -= o.size()
+	i := int32(id)
+	p.obj.kill(i)
+	p.liveW -= p.obj.size(i)
 	if !p.stage2 {
 		if p.opts.DisableGhosts {
-			p.delObj(id)
+			p.obj.untrack(i)
 		} else {
-			o.ghost = true
-			o.span = from // counted at its pre-move address
+			p.obj.makeGhost(i, from.Addr) // counted at its pre-move address
 		}
 	}
 	return true
